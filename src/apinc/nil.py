@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedManifoldError,
 )
 from .polyphase import PolyPhase, circ_dist, frac, lift, partition_polyphase
-from .progressions import PartitionCertificate, Progression
+from .progressions import PartitionCertificate, Progression, merge_parts
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,6 +154,21 @@ class PolySequence:
             x, y, z = (c.eval_real(n) for c in self.coords)
             return heisenberg_reduce(x, y, z)
         raise UnsupportedManifoldError(f"unknown manifold kind {Mf.kind!r}")
+
+    def float_points(self, Mf, P):
+        """`point` at every element of P as float coordinates, computed
+        on the integer numerators and divided only at the end."""
+        if Mf.kind != "heisenberg":
+            return _phase_points(self.coords, P)
+        x, y, z = self.coords
+        dx, dy, dz = x.den, y.den, z.den
+        out = []
+        # heisenberg_reduce: only frac(x) enters z - x*floor(y) mod 1
+        for a, b, c in zip(x.residues(P), y.numerators(P), z.residues(P)):
+            fy = b // dy
+            zc = (c * dx - a * fy * dz) % (dx * dz)
+            out.append((a / dx, (b - fy * dy) / dy, zc / (dx * dz)))
+        return out
 
     def to_json(self):
         return {"coords": [c.to_json() for c in self.coords]}
@@ -348,9 +363,17 @@ def nil_eval(Mf, g, F, n):
     return F.value(g.point(Mf, n))
 
 
+def _phase_points(phases, P):
+    """Float residues of the phases at every element of P, one tuple
+    per element."""
+    if not phases:
+        return [()] * P.len
+    return list(zip(*([r / c.den for r in c.residues(P)] for c in phases)))
+
+
 def nil_values(Mf, g, F, P):
     _check_compat(Mf, g, F)
-    return np.array([F.value(g.point(Mf, n)) for n in P.elements()])
+    return np.array([F.value(u) for u in g.float_points(Mf, P)])
 
 
 def complex_diam(vals):
@@ -399,7 +422,7 @@ def _rational_period(phi, Qmax):
     """Smallest T >= 1 with phi(t+T) - phi(t) integer-valued, if any."""
     for T in range(1, Qmax + 1):
         diff = phi.compose_affine_frac(1, T) - phi
-        if all(a.denominator == 1 for a in diff.binomial_coeffs()):
+        if all(p % diff.den == 0 for p in diff.num):
             return T
     return None
 
@@ -565,18 +588,18 @@ def reduce_dimension(Mf, g, F, P, eps):
     target = min(eps_f / lift(Lp), Fraction(1, 2))
     cert = partition_polyphase(coord_phases[pivot], P, target)
 
+    pivot_phase = coord_phases[pivot]
     rest = [c for i, c in enumerate(coord_phases) if i != pivot]
+    h = PolySequence(rest)
     out = []
     for Q in cert.parts:
         stack = [Q]
         while stack:
             R = stack.pop()
-            c0 = float(coord_phases[pivot].eval(R.base))
-            F2 = F.freeze(pivot, c0)
-            h = PolySequence(rest)
+            F2 = F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
             dev = max(
-                abs(nil_eval(Mf, g, F, n) - F2.value(tuple(p.eval(n) for p in rest)))
-                for n in R.elements()
+                abs(F.value(u) - F2.value(v))
+                for u, v in zip(g.float_points(Mf, R), _phase_points(rest, R))
             )
             if R.len == 1 or dev <= float(eps_f) + 2**-30:
                 out.append((R, succ, h, F2))
@@ -586,35 +609,6 @@ def reduce_dimension(Mf, g, F, P, eps):
                 stack.append(Progression(R.base, R.step, h1))
     out.sort(key=lambda t: t[0].base)
     return out
-
-
-def _merge_value_parts(valuer, parts, eps):
-    """Greedy coarsening of progression parts under an exhaustive
-    complex-diameter check on the true nilsequence values."""
-    by_base = {p.base: p for p in parts}
-    merged, used = [], set()
-    for b in sorted(by_base):
-        if b in used:
-            continue
-        cur = by_base[b]
-        used.add(b)
-        while True:
-            nxt = by_base.get(cur.base + cur.len * cur.step)
-            if nxt is None or nxt.base in used:
-                break
-            if nxt.step == cur.step:
-                trial = Progression(cur.base, cur.step, cur.len + nxt.len)
-            elif nxt.len == 1:
-                trial = Progression(cur.base, cur.step, cur.len + 1)
-            else:
-                break
-            if complex_diam(valuer(trial)) <= eps:
-                used.add(nxt.base)
-                cur = trial
-            else:
-                break
-        merged.append(cur)
-    return merged
 
 
 def partition_nilsequence(Mf, g, F, P, eps):
@@ -655,7 +649,7 @@ def partition_nilsequence(Mf, g, F, P, eps):
             rec(Mf3, g3, F3, R, depth + 1)
 
     rec(Mf, g, F, P, 0)
-    parts = _merge_value_parts(valuer, parts, eps_val)
+    parts = merge_parts(parts, lambda Q: complex_diam(valuer(Q)) <= eps_val)
     parts.sort(key=lambda p: p.base)
     witnesses = [complex_diam(valuer(p)) for p in parts]
     assert all(w <= eps_val + 2**-35 for w in witnesses)

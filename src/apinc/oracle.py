@@ -2,13 +2,15 @@
 
 Everything here re-derives results from first principles and shares no
 logic with the construction modules it checks: phases are re-evaluated
-by a local evaluator, diameters are pairwise scans, Gowers norms are
-the literal cube sums, and certificates are verified structurally by
+by a local Horner evaluator on integers, circle diameters are sorted
+sweeps and complex ones pairwise scans, Gowers norms are the literal
+cube sums, and certificates are verified structurally by
 element enumeration.  These are the oracles behind every derived test
 value and behind `apinc verify`.
 """
 
 import cmath
+import functools
 import itertools
 import math
 import os
@@ -119,41 +121,68 @@ def brute_gowers(f, k, budget=None):
 # Independent channel evaluation (certificate verification)
 
 
-def _parse_coeffs(ph):
-    exact = bool(ph.get("exact", True))
-    out = []
-    for c in ph["coeffs"]:
-        out.append(Fraction(c) if exact else Fraction(float(c)))
-    return out
+@functools.lru_cache(maxsize=16)
+def _parse_phase(basis, exact, coeffs):
+    """Integer monomial coefficients T and denominator D of a serialized
+    phase, phi(n) = sum_i T[i] n^i / D; parsed once per phase."""
+    cs = [Fraction(c) if exact else Fraction(float(c)) for c in coeffs]
+    D = math.lcm(*(c.denominator for c in cs))
+    nums = [c.numerator * (D // c.denominator) for c in cs]
+    if basis == "monomial":
+        return D, tuple(nums)
+    # C(n, j) = n(n-1)...(n-j+1) / j!: expand over the denominator D * d!
+    d = len(nums) - 1
+    T = [0] * (d + 1)
+    falling = [1]
+    for j, a in enumerate(nums):
+        if j:
+            falling = [0] + falling
+            for i in range(j):
+                falling[i] -= (j - 1) * falling[i + 1]
+        w = a * (math.factorial(d) // math.factorial(j))
+        for i, c in enumerate(falling):
+            T[i] += w * c
+    return D * math.factorial(d), tuple(T)
 
 
-def _falling_binom(n, j):
-    num = 1
-    for i in range(j):
-        num *= n - i
-    return num // math.factorial(j)
+def _phase_poly(ph):
+    return _parse_phase(ph["basis"], bool(ph.get("exact", True)), tuple(ph["coeffs"]))
+
+
+def _horner(T, n):
+    acc = 0
+    for t in reversed(T):
+        acc = acc * n + t
+    return acc
 
 
 def _phase_value(ph, n):
     """Residue in [0,1) of the serialized phase at n (exact)."""
-    coeffs = _parse_coeffs(ph)
-    if ph["basis"] == "monomial":
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * n + c
-    else:
-        acc = sum((c * _falling_binom(n, j) for j, c in enumerate(coeffs)), Fraction(0))
-    return acc - (acc.numerator // acc.denominator)
+    D, T = _phase_poly(ph)
+    return Fraction(_horner(T, n) % D, D)
 
 
 def _phase_value_real(ph, n):
-    coeffs = _parse_coeffs(ph)
-    if ph["basis"] == "monomial":
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * n + c
-        return acc
-    return sum((c * _falling_binom(n, j) for j, c in enumerate(coeffs)), Fraction(0))
+    D, T = _phase_poly(ph)
+    return Fraction(_horner(T, n), D)
+
+
+def _circle_sweep(u, D):
+    """Largest circle distance min(d, D - d), d = b - a, over pairs a < b
+    of the sorted residues u in [0, D).  For each a the distance grows
+    with b until b - a reaches D/2 and shrinks after, so only the two
+    members around that crossing can win, and the crossing moves right
+    as a does: one sweep."""
+    best, j, n = 0, 0, len(u)
+    for i, a in enumerate(u):
+        j = max(j, i + 1)
+        while j < n and 2 * (u[j] - a) < D:
+            j += 1
+        if j - 1 > i:
+            best = max(best, u[j - 1] - a)
+        if j < n:
+            best = max(best, D - (u[j] - a))
+    return best
 
 
 def _ffrac(x):
@@ -207,23 +236,16 @@ def _nil_channel_value(payload, n):
 def brute_diam(channel_payload, P, channel="polyphase"):
     """Exhaustive diameter of a serialized channel over a progression.
 
-    Polyphase channel: circle metric, exact pairwise scan.  Nilsequence
-    channel: complex-modulus metric, pairwise scan.
+    Polyphase channel: circle metric, exact sorted sweep over integer
+    residues.  Nilsequence channel: complex-modulus metric, pairwise scan.
     """
     if P.len > 10**6:
         raise BudgetExceededError("brute_diam limited to len <= 10^6")
     ns = P.elements()
     if channel == "polyphase":
-        vals = sorted(_phase_value(channel_payload["phase"], n) for n in ns)
-        best = Fraction(0)
-        # pairwise over sorted circle values
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                d = vals[j] - vals[i]
-                d = min(d, 1 - d)
-                if d > best:
-                    best = d
-        return best
+        D, T = _phase_poly(channel_payload["phase"])
+        vals = sorted({_horner(T, n) % D for n in ns})
+        return Fraction(_circle_sweep(vals, D), D)
     if channel == "nilsequence":
         vals = np.array([_nil_channel_value(channel_payload, n) for n in ns])
         best = 0.0

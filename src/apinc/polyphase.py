@@ -1,29 +1,44 @@
 """Polynomial phases Z -> R/Z and their constructive partitions.
 
-Coefficients are kept internally as exact rationals: a phase entered
-with float coefficients is lifted through the (exact) dyadic value of
-each double, so every mod-1 computation in this module is exact
-arithmetic; the `exact` flag only records how the phase was entered and
-how it serializes.  This removes all rounding anxiety from the
-certificate machinery: a diameter witness is the true supremum for the
-stored coefficients.
+A phase is held exactly as Python integers: one common denominator D
+and the numerators p_j of its binomial coefficients,
 
-Two coefficient bases are supported: binomial, phi(n) = sum a_j C(n,j),
-and monomial, phi(n) = sum t_j n^j, with exact conversion both ways.
+    phi(n) = sum_j p_j C(n, j) / D,
+
+so phi(n) mod 1 is the residue (sum_j p_j C(n, j)) mod D, over D.  A
+phase entered with float coefficients is lifted through the (exact)
+dyadic value of each double, so every mod-1 computation in this module
+is integer arithmetic and a diameter witness is the true supremum for
+the stored coefficients; the `exact` flag only records how the phase
+was entered and how it serializes.
+
+The binomial basis keeps this kernel cheap.  Composing with an integer
+affine map n = b + a*t keeps D, because C(b + a*t, j) is an integer
+combination of the C(t, k); the new numerators are the forward
+differences at t = 0 of the first deg+1 values; and summing that
+difference table walks the residues along a progression with a few
+integer additions per point.  Fractions appear only at the interface:
+the coefficients a phase was entered with (binomial, phi(n) =
+sum a_j C(n,j), or monomial, phi(n) = sum t_j n^j), `eval`, and the
+diameters handed back.
+
 The smoothness norm is sup_{1<=j} N^j ||a_j|| over binomial
 coefficients.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate, islice
+from math import factorial, isqrt, lcm
 
 from .errors import InvalidArgumentError, NoQFoundError, PreconditionError
-from .progressions import Progression, subdivide
+from .progressions import Progression, merge_parts, subdivide
 
 HALF = Fraction(1, 2)
 # strictly below 6/pi^2, so the per-degree budgets sum to < epsilon
 BUDGET_WEIGHT = Fraction(6079271018540266, 10**16)
+# the block-length formula never divides by less than 2^-40
+EPS0_FLOOR_BITS = 40
 
 
 def lift(x):
@@ -60,63 +75,144 @@ def circ_dist(x, y):
     return circ_norm(x - y)
 
 
-def binom_int(n, j):
-    """C(n, j) for arbitrary integer n (integer-valued)."""
-    if j < 0:
+# ---------------------------------------------------------------------
+# Integer kernel: numerator vectors over a common denominator
+
+
+def _common(xs):
+    """Common denominator D and the integer numerators of rationals xs."""
+    D = lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
+
+
+def _eval_num(num, n):
+    """sum_j num[j] * C(n, j) at integer n."""
+    acc, c = 0, 1
+    for j, p in enumerate(num):
+        acc += p * c
+        c = c * (n - j) // (j + 1)  # C(n, j+1), exact
+    return acc
+
+
+def _horner(num, x):
+    """sum_i num[i] * x^i."""
+    acc = 0
+    for c in reversed(num):
+        acc = acc * x + c
+    return acc
+
+
+def _differences(vals):
+    """Forward differences at the first point: the binomial numerators
+    of the polynomial taking vals at 0, 1, ..., len(vals) - 1."""
+    vals = list(vals)
+    n = len(vals)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            vals[i] -= vals[i - 1]
+    return vals
+
+
+def _frame(num, base, step):
+    """Binomial numerators, same denominator, of t -> phi(base + step*t)."""
+    return _differences([_eval_num(num, base + step * t) for t in range(len(num))])
+
+
+def _walk(diffs, length):
+    """Values at t = 0 .. length-1 of the polynomial whose forward
+    differences at 0 are diffs: each level is a running sum of the next."""
+    k = len(diffs) - 1
+    while k > 0 and not diffs[k]:
+        k -= 1
+    vals = [diffs[k]] * length
+    for c in reversed(diffs[:k]):
+        vals = list(accumulate(islice(vals, length - 1), initial=c))
+    return vals
+
+
+def _values(num, base, step, length, den=0):
+    """sum_j num[j] C(n, j) at n = base + step*t for t < length, reduced
+    mod den when den is given: the first deg+1 points are evaluated
+    directly, the rest walk their forward differences."""
+    head = [_eval_num(num, base + step * t) for t in range(min(length, len(num)))]
+    if den:
+        head = [v % den for v in head]
+    if length <= len(head):
+        return head
+    vals = _walk(_differences(head), length)
+    return [v % den for v in vals] if den else vals
+
+
+def _diam_num(res, den):
+    """Numerator over den of the circle diameter of residues in [0, den).
+
+    Sorted antipode scan: the farthest point from v is a neighbour of
+    its antipode v + den/2 in circular order, and the antipode only
+    moves forward as v does, so one pointer sweep finds them all.
+    """
+    u = sorted(set(res))
+    if len(u) < 2:
         return 0
-    num = 1
-    for i in range(j):
-        num *= n - i
-    den = 1
-    for i in range(2, j + 1):
-        den *= i
-    return num // den if num % den == 0 else Fraction(num, den)  # always exact int
+    ext = u + [v + den for v in u]
+    best, j = 0, 0
+    for v in u:
+        antipode = 2 * v + den  # compared against 2 * ext[j]
+        while 2 * ext[j] < antipode:
+            j += 1
+        best = max(best, ext[j - 1] - v, v + den - ext[j])
+    return best
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
+def _mono_from_bin(num):
+    """Monomial numerators over d! (d = len(num) - 1) of sum num[j] C(n, j)."""
+    d = len(num) - 1
+    out = [0] * (d + 1)
+    fall = [1]  # n(n-1)...(n-j+1), lowest degree first
+    w = factorial(d)  # d! / j!
+    for j, p in enumerate(num):
+        if j:
+            fall = [a - (j - 1) * b for a, b in zip([0] + fall, fall + [0])]
+            w //= j
+        if p:
+            for i, c in enumerate(fall):
+                out[i] += p * w * c
     return out
+
+
+def _bin_from_mono(num):
+    """Binomial numerators, same denominator, of sum num[i] n^i."""
+    return _differences([_horner(num, n) for n in range(len(num))])
+
+
+def _iroot(x, s):
+    """floor(x^(1/s)) for integers x >= 0 and s >= 1."""
+    r = int(x ** (1.0 / s))  # float seed, corrected exactly
+    while r**s > x:
+        r -= 1
+    while (r + 1) ** s <= x:
+        r += 1
+    return r
 
 
 def monomial_from_binomial(alphas):
     """Monomial coefficients of sum a_j C(n, j)."""
-    out = [Fraction(0)] * len(alphas)
-    basis = [Fraction(1)]  # C(n,0)
-    fact = 1
-    for j, a in enumerate(alphas):
-        if j > 0:
-            basis = _poly_mul(basis, [Fraction(-(j - 1)), Fraction(1)])
-            fact *= j
-        if a:
-            for i, b in enumerate(basis):
-                out[i] += a * b / fact
-    return out
+    D, num = _common([lift(a) for a in alphas])
+    q = D * factorial(len(num) - 1)
+    return [Fraction(p, q) for p in _mono_from_bin(num)]
 
 
 def binomial_from_monomial(thetas):
     """Binomial coefficients via iterated forward differences at 0."""
-    s = len(thetas) - 1
-    vals = []
-    for n in range(s + 1):
-        acc = Fraction(0)
-        for t in reversed(thetas):
-            acc = acc * n + t
-        vals.append(acc)
-    alphas = []
-    for _ in range(s + 1):
-        alphas.append(vals[0])
-        vals = [b - a for a, b in zip(vals, vals[1:])]
-    return alphas
+    D, num = _common([lift(t) for t in thetas])
+    return [Fraction(p, D) for p in _bin_from_mono(num)]
 
 
 class PolyPhase:
-    """Polynomial phase with exact rational coefficient arithmetic."""
+    """Polynomial phase held as integer binomial numerators `num` over
+    one denominator `den`.  `coeffs` are its exact coefficients in
+    `basis`; for phases the kernel derives they are built on first use."""
 
-    __slots__ = ("basis", "coeffs", "exact")
+    __slots__ = ("basis", "exact", "den", "num", "_coeffs")
 
     def __init__(self, coeffs, basis="binomial", exact=None):
         if basis not in ("binomial", "monomial"):
@@ -124,9 +220,19 @@ class PolyPhase:
         raw = list(coeffs) or [0]
         if exact is None:
             exact = not any(isinstance(c, float) for c in raw)
+        cs = tuple(lift(c) for c in raw)
+        den, num = _common(cs)
         self.basis = basis
-        self.coeffs = tuple(lift(c) for c in raw)
         self.exact = exact
+        self.den = den
+        self.num = tuple(_bin_from_mono(num) if basis == "monomial" else num)
+        self._coeffs = cs
+
+    @classmethod
+    def _from_kernel(cls, den, num, basis, exact):
+        phi = cls.__new__(cls)
+        phi.basis, phi.exact, phi.den, phi.num, phi._coeffs = basis, exact, den, tuple(num), None
+        return phi
 
     @classmethod
     def monomial(cls, coeffs, exact=None):
@@ -146,27 +252,35 @@ class PolyPhase:
 
     # -- basis views ---------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Exact coefficients in `basis`."""
+        if self._coeffs is None:
+            if self.basis == "binomial":
+                q, ps = self.den, self.num
+            else:
+                q, ps = self.den * factorial(self.declared_degree), _mono_from_bin(self.num)
+            self._coeffs = tuple(Fraction(p, q) for p in ps)
+        return self._coeffs
+
     def monomial_coeffs(self):
-        if self.basis == "monomial":
-            return list(self.coeffs)
-        return monomial_from_binomial(list(self.coeffs))
+        return list(self.in_basis("monomial").coeffs)
 
     def binomial_coeffs(self):
-        if self.basis == "binomial":
-            return list(self.coeffs)
-        return binomial_from_monomial(list(self.coeffs))
+        return list(self.in_basis("binomial").coeffs)
 
     def in_basis(self, basis):
         if basis == self.basis:
             return self
-        coeffs = self.monomial_coeffs() if basis == "monomial" else self.binomial_coeffs()
-        return PolyPhase(coeffs, basis=basis, exact=self.exact)
+        if basis not in ("binomial", "monomial"):
+            raise InvalidArgumentError(f"unknown basis {basis!r}")
+        return PolyPhase._from_kernel(self.den, self.num, basis, self.exact)
 
     # -- structure -----------------------------------------------------
 
     @property
     def declared_degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def degree(self):
@@ -176,23 +290,24 @@ class PolyPhase:
         valued on Z exactly when all its binomial coefficients are
         integers.
         """
-        alphas = self.binomial_coeffs()
-        for j in range(len(alphas) - 1, 0, -1):
-            if circ_norm(alphas[j]) != 0:
-                return j
-        return 0
+        den = self.den
+        return next((j for j in range(len(self.num) - 1, 0, -1) if self.num[j] % den), 0)
+
+    def residue(self, n):
+        """Numerator over `den` of the value at integer n, in [0, den)."""
+        return _eval_num(self.num, n) % self.den
+
+    def residues(self, P):
+        """`residue` at every element of the progression P, in order."""
+        return _values(self.num, P.base, P.step, P.len, self.den)
+
+    def numerators(self, P):
+        """Unreduced numerators over `den` of the values on P's elements."""
+        return _values(self.num, P.base, P.step, P.len)
 
     def eval(self, n):
         """Value of the phase at integer n, reduced to [0, 1)."""
-        acc = Fraction(0)
-        if self.basis == "monomial":
-            for c in reversed(self.coeffs):
-                acc = acc * n + c
-        else:
-            for j, a in enumerate(self.coeffs):
-                if a:
-                    acc += a * binom_int(n, j)
-        return frac(acc)
+        return Fraction(self.residue(n), self.den)
 
     def __call__(self, n):
         return self.eval(n)
@@ -204,52 +319,45 @@ class PolyPhase:
         than a phase, e.g. Heisenberg coordinates, where the integer
         part feeds the nonabelian fundamental-domain correction.
         """
-        acc = Fraction(0)
-        if self.basis == "monomial":
-            for c in reversed(self.coeffs):
-                acc = acc * n + c
-        else:
-            for j, a in enumerate(self.coeffs):
-                if a:
-                    acc += a * binom_int(n, j)
-        return acc
+        return Fraction(_eval_num(self.num, n), self.den)
 
     # -- arithmetic ----------------------------------------------------
 
     def scale(self, q):
-        return PolyPhase([q * c for c in self.coeffs], self.basis, self.exact)
+        q = lift(q)
+        return PolyPhase._from_kernel(
+            self.den * q.denominator, [p * q.numerator for p in self.num], self.basis, self.exact
+        )
 
-    def _binop(self, other, op):
-        a = self.monomial_coeffs()
-        b = other.monomial_coeffs()
+    def _binop(self, other, sign):
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        a, b = self.num, other.num
         n = max(len(a), len(b))
-        a += [Fraction(0)] * (n - len(a))
-        b += [Fraction(0)] * (n - len(b))
-        out = [op(x, y) for x, y in zip(a, b)]
-        res = PolyPhase(out, basis="monomial", exact=self.exact and other.exact)
-        return res.in_basis(self.basis)
+        a += (0,) * (n - len(a))
+        b += (0,) * (n - len(b))
+        out = [x * fa + y * fb for x, y in zip(a, b)]
+        return PolyPhase._from_kernel(den, out, self.basis, self.exact and other.exact)
 
     def __add__(self, other):
-        return self._binop(other, lambda x, y: x + y)
+        return self._binop(other, 1)
 
     def __sub__(self, other):
-        return self._binop(other, lambda x, y: x - y)
+        return self._binop(other, -1)
 
     def compose_affine_frac(self, a, b):
         """Phase m -> self(a*m + b) for rational a, b (exact)."""
         a, b = lift(a), lift(b)
-        thetas = self.monomial_coeffs()
-        res = [Fraction(0)]
-        for t in reversed(thetas):
-            nxt = [Fraction(0)] * (len(res) + 1)
-            for i, r in enumerate(res):
-                nxt[i] += r * b
-                nxt[i + 1] += r * a
-            nxt[0] += t
-            res = nxt
-        res = res[: len(thetas)] + [Fraction(0)] * max(0, len(thetas) - len(res))
-        out = PolyPhase(res[: len(thetas)], basis="monomial", exact=self.exact)
-        return out.in_basis(self.basis)
+        q = lcm(a.denominator, b.denominator)
+        den, num = self.den, self.num
+        if q > 1:
+            # phi(u / q) as a polynomial in u; then u = q*b + q*a*m below
+            d = len(num) - 1
+            mono = _mono_from_bin(num)
+            num = _bin_from_mono([t * q ** (d - i) for i, t in enumerate(mono)])
+            den *= factorial(d) * q**d
+        out = _frame(num, int(b * q), int(a * q))
+        return PolyPhase._from_kernel(den, out, self.basis, self.exact)
 
     # -- serialization -------------------------------------------------
 
@@ -283,36 +391,17 @@ def compose_affine(phi, a, b):
 
 
 def circle_diam(values):
-    """Exact supremum of pairwise circle distances of residues in [0,1).
-
-    Sorted antipode scan: for each point the farthest candidate is the
-    neighbour of its antipode in circular order, so the scan is
-    O(L log L) and exact.
-    """
-    vals = sorted(set(values))
-    n = len(vals)
-    if n < 2:
-        return Fraction(0)
-    ext = vals + [v + 1 for v in vals]
-    best = Fraction(0)
-    import bisect
-
-    for v in vals:
-        target = v + HALF
-        j = bisect.bisect_left(ext, target)
-        for k in (j - 1, j):
-            if 0 <= k < 2 * n:
-                d = circ_norm(ext[k] - v)
-                if d > best:
-                    best = d
-    return best
+    """Exact supremum of pairwise circle distances of rationals mod 1
+    (sorted antipode scan over common-denominator residues)."""
+    den, num = _common(list(values))
+    return Fraction(_diam_num([p % den for p in num], den), den)
 
 
 def diam_on(phi, P):
     """Exhaustive diameter of the phase over the elements of P."""
     if P.len < 1:
         raise InvalidArgumentError("progression must be nonempty")
-    d = circle_diam([phi.eval(n) for n in P.elements()])
+    d = Fraction(_diam_num(phi.residues(P), phi.den), phi.den)
     return d if phi.exact else float(d)
 
 
@@ -337,13 +426,17 @@ def weyl_min(alpha, s, N):
     if N < 1:
         raise InvalidArgumentError("N must be positive")
     a = lift(alpha)
+    p, q = a.numerator, a.denominator
     bound = max(1, isqrt(N))
-    best_n, best_v = 1, circ_norm(a)
-    for n in range(2, bound + 1):
-        v = circ_norm(a * n**s)
+    best_n, best_v = 1, q
+    for n in range(1, bound + 1):
+        r = p * n**s % q
+        v = min(r, q - r)
         if v < best_v:
             best_n, best_v = n, v
-    value = best_v if isinstance(alpha, (Fraction, int)) else float(best_v)
+    value = Fraction(best_v, q)
+    if not isinstance(alpha, (Fraction, int)):
+        value = float(value)
     return WeylWitness(n=best_n, value=value, search_bound=bound)
 
 
@@ -355,12 +448,12 @@ def smoothness_norm(phi, N):
     """sup over 1 <= j of N^j ||a_j|| in the binomial basis."""
     if N < 1:
         raise InvalidArgumentError("N must be positive")
-    alphas = phi.binomial_coeffs()
-    best = Fraction(0)
-    for j in range(1, len(alphas)):
-        v = N**j * circ_norm(alphas[j])
-        if v > best:
-            best = v
+    den = phi.den
+    best = 0
+    for j, p in enumerate(phi.num[1:], start=1):
+        r = p % den
+        best = max(best, N**j * min(r, den - r))
+    best = Fraction(best, den)
     return best if phi.exact else float(best)
 
 
@@ -393,19 +486,28 @@ def rationalize_phase(phi, N, Qmax, ceiling=None):
 
 
 def _local_monomial(phi, Q):
-    """Monomial coefficients of t -> phi(base + t*step) on Q's index line."""
-    return phi.compose_affine_frac(Q.step, Q.base).monomial_coeffs()
+    """Monomial numerators, over den * d! (d the declared degree), of
+    t -> phi(base + t*step) on Q's index line."""
+    return _mono_from_bin(_frame(phi.num, Q.base, Q.step))
 
 
-def _strip_leading(phi, Q, s):
+def _within(num, den, length, bound):
+    """Whether the phase num / den has circle diameter at most the
+    Fraction bound on [0, length)."""
+    return _diam_num(_values(num, 0, 1, length, den), den) * bound.denominator <= bound.numerator * den
+
+
+def _strip_leading(phi, Q, s, loc):
     """Degree <= s-1 phase psi with phi - psi almost constant of order
-    ||leading|| * t^s on Q (exact construction; see reduce proof)."""
-    loc = _local_monomial(phi, Q)
-    loc += [Fraction(0)] * max(0, s + 1 - len(loc))
-    psi_local = PolyPhase(loc[:s] if s > 0 else loc[:1], basis="monomial", exact=phi.exact)
-    inv_a = Fraction(1, Q.step)
-    inv_b = Fraction(-Q.base, Q.step)
-    return psi_local.compose_affine_frac(inv_a, inv_b)
+    ||leading|| * t^s on Q (exact construction; see reduce proof):
+    psi keeps the local monomial terms loc[:s] of phi on Q."""
+    # psi(n) = sum_{i<s} loc[i] u^i / (den d!) with u = (n - base) / step,
+    # an integer polynomial in n over den * d! * |step|^(s-1)
+    size, sign = abs(Q.step), (1 if Q.step > 0 else -1)
+    w = [c * size ** (s - 1 - i) for i, c in enumerate(loc[:s])]
+    vals = [_horner(w, sign * (n - Q.base)) for n in range(s)]
+    den = phi.den * factorial(len(loc) - 1) * size ** (s - 1)
+    return PolyPhase._from_kernel(den, _differences(vals), "monomial", phi.exact)
 
 
 def _split_halves(Q):
@@ -416,17 +518,10 @@ def _split_halves(Q):
     ]
 
 
-def block_length_floor(eps0, s, theta, length, n_w):
-    """The documented block-length formula: data-driven, clamped to 1."""
-    eps0 = max(lift(eps0), Fraction(1, 2**40))
-    ratio = lift(theta) / eps0
-    # integer floor of ratio**(1/s), seeded in floats and corrected exactly
-    ell = max(1, int(float(ratio) ** (1.0 / s)))
-    while ell > 1 and ell**s > ratio:
-        ell -= 1
-    while (ell + 1) ** s <= ratio:
-        ell += 1
-    return max(1, min(ell, max(1, length // n_w)))
+def _block_len(ratio_floor, s, length, n_w):
+    """The block-length formula, data-driven and clamped to 1: the
+    integer s-th root of floor(theta / eps0), capped at length // n_w."""
+    return max(1, min(_iroot(ratio_floor, s), max(1, length // n_w)))
 
 
 def reduce_degree_partition(phi, P, theta_target):
@@ -451,66 +546,42 @@ def reduce_degree_partition(phi, P, theta_target):
         # constant mod 1 (e.g. c + 0*n): single part, constant companion
         return [(P, PolyPhase.constant(phi.eval(P.base), exact=phi.exact))]
 
+    dl = phi.den * factorial(phi.declared_degree)  # local monomial denominator
     lead = _local_monomial(phi, P)[s]
+    tn, td = theta.numerator, theta.denominator
     # Weyl step: scan common differences up to max(sqrt(len), 64) and
     # keep the one whose induced block length is largest (ties to the
     # smallest difference).  The sqrt bound alone misses exact rational
     # kills whose denominator lies between sqrt(len) and len.
     bound = max(1, min(P.len - 1, max(isqrt(P.len), 64)))
-    n_w, ell = 1, 1
-    best_key = None
+    n_w, ell = 1, 0
     for n in range(1, bound + 1):
-        v = circ_norm(lead * n**s)
-        b = block_length_floor(v, s, theta, P.len, n)
-        if best_key is None or b > best_key:
-            n_w, ell, best_key = n, b, b
+        r = lead * n**s % dl
+        v = min(r, dl - r)  # eps0 = ||lead * n^s|| = v / dl, floored at 2^-40
+        if v << EPS0_FLOOR_BITS < dl:
+            ratio_floor = (tn << EPS0_FLOOR_BITS) // td
+        else:
+            ratio_floor = tn * dl // (td * v)
+        b = _block_len(ratio_floor, s, P.len, n)
+        if b > ell:
+            n_w, ell = n, b
+        if ell >= P.len // n:
+            break  # no larger difference can allow a longer block
 
     out = []
     for Q in subdivide(P, n_w, ell):
         stack = [Q]
         while stack:
             R = stack.pop()
-            psi = _strip_leading(phi, R, s)
-            diff = phi - psi
-            if R.len == 1 or circle_diam([diff.eval(n) for n in R.elements()]) <= theta:
+            loc = _local_monomial(phi, R)
+            psi = _strip_leading(phi, R, s, loc)
+            # phi - psi on R is the local tail sum_{i>=s} loc[i] t^i
+            if R.len == 1 or _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta):
                 out.append((R, psi))
             else:
                 stack.extend(reversed(_split_halves(R)))
     out.sort(key=lambda t: t[0].base)
     return out
-
-
-def _merge_parts(phi, parts, eps):
-    """Coarsen: greedily absorb a following contiguous same-step part
-    (or a singleton) while the exhaustive diameter stays within eps."""
-    eps = lift(eps)
-    by_base = {p.base: p for p in parts}
-    order = sorted(by_base)
-    merged = []
-    used = set()
-    for b in order:
-        if b in used:
-            continue
-        cur = by_base[b]
-        used.add(b)
-        while True:
-            nxt_base = cur.base + cur.len * cur.step
-            cand = by_base.get(nxt_base)
-            if cand is None or cand.base in used:
-                break
-            if cand.step == cur.step:
-                trial = Progression(cur.base, cur.step, cur.len + cand.len)
-            elif cand.len == 1:
-                trial = Progression(cur.base, cur.step, cur.len + 1)
-            else:
-                break
-            if circle_diam([phi.eval(n) for n in trial.elements()]) <= eps:
-                used.add(cand.base)
-                cur = trial
-            else:
-                break
-        merged.append(cur)
-    return merged
 
 
 def partition_polyphase(phi, P, eps):
@@ -528,15 +599,22 @@ def partition_polyphase(phi, P, eps):
     eps_f = lift(eps)
     if not 0 < eps_f <= HALF:
         raise PreconditionError("eps must lie in (0, 1/2]")
+    den = phi.den
+
+    def diam_num(Q):
+        return 0 if Q.len == 1 else _diam_num(phi.residues(Q), den)
+
+    def fits(Q):
+        return diam_num(Q) * eps_f.denominator <= eps_f.numerator * den
 
     parts = []
 
     def rec(phase, Q):
-        if circle_diam([phi.eval(n) for n in Q.elements()]) <= eps_f:
+        if fits(Q):
             parts.append(Q)
             return
         s = phase.degree
-        if s == 0 or Q.len == 1:
+        if s == 0:
             parts.append(Q)
             return
         theta = eps_f * BUDGET_WEIGHT / s**2
@@ -544,15 +622,16 @@ def partition_polyphase(phi, P, eps):
             rec(psi, R)
 
     rec(phi, P)
-    parts = _merge_parts(phi, parts, eps_f)
+    parts = merge_parts(parts, fits)
     parts.sort(key=lambda p: p.base)
-    witnesses = [diam_on(phi, p) for p in parts]
-    assert all(lift(w) <= eps_f for w in witnesses)
+    witnesses = [diam_num(p) for p in parts]
+    assert all(w * eps_f.denominator <= eps_f.numerator * den for w in witnesses)
     return PartitionCertificate(
         source=P,
         parts=parts,
         epsilon=float(eps_f),
-        diam_witness=[float(w) for w in witnesses],
+        # int / int rounds correctly: the same double as float(Fraction(w, den))
+        diam_witness=[w / den for w in witnesses],
         channel="polyphase",
         payload={"phase": phi.to_json()},
     )

@@ -153,6 +153,34 @@ def subdivide(P, mult, block):
     return parts
 
 
+def merge_parts(parts, fits):
+    """Coarsen a partition: greedily absorb a following contiguous
+    same-step part (or a singleton) while `fits` accepts the union."""
+    by_base = {p.base: p for p in parts}
+    merged, used = [], set()
+    for b in sorted(by_base):
+        if b in used:
+            continue
+        cur = by_base[b]
+        used.add(b)
+        while True:
+            nxt = by_base.get(cur.base + cur.len * cur.step)
+            if nxt is None or nxt.base in used:
+                break
+            if nxt.step == cur.step:
+                trial = Progression(cur.base, cur.step, cur.len + nxt.len)
+            elif nxt.len == 1:
+                trial = Progression(cur.base, cur.step, cur.len + 1)
+            else:
+                break
+            if not fits(trial):
+                break
+            used.add(nxt.base)
+            cur = trial
+        merged.append(cur)
+    return merged
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """The bijection i -> base + i*step from [0, len) onto elements(P)."""

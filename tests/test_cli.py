@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -137,6 +138,32 @@ class TestPartitionAndVerify:
             run(capsys, "partition-phase", "--phase", "1/7 n", "--range", "1..70",
                 "--eps", "0.1", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-256 of certificates as the Fraction-based implementation wrote
+    # them: the integer kernel must reproduce them byte for byte
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["partition-phase",
+                 "--phase", "1.4142135623730951 n + 1.7320508075688772 C(n,2)",
+                 "--range", "1..2000", "--eps", "0.05"],
+                "986400d59bbb217cf661a23834a0c3d56ce03dab0f2caa3be4d76723c9c3ac5f",
+            ),
+            (
+                ["partition-nil", "--manifold", "heisenberg",
+                 "--seq", "1.4142135623730951 n; 1.7320508075688772 n; 0",
+                 "--fn", "e(x)*cutoff", "--range", "1..500", "--eps", "0.1"],
+                "ec5d1655c20a8fb3a63c911e292dcc5f8de1fe15aa7129dbb41c1a59c2977261",
+            ),
+        ],
+        ids=["phase-2000", "heisenberg-500"],
+    )
+    def test_golden_digest(self, tmp_path, capsys, argv, digest):
+        path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRoth:

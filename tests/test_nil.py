@@ -131,6 +131,26 @@ class TestSequencesAndEval:
             x, y, z = (c.eval_real(n) for c in g.coords)
             assert g.point(Mf, n) == heisenberg_reduce(x, y, z)
 
+    @given(
+        coeffs=st.lists(
+            st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=40), min_size=1, max_size=3),
+            min_size=3,
+            max_size=3,
+        ),
+        base=st.integers(-1000, 1000),
+        step=st.integers(-9, 9).filter(bool),
+        length=st.integers(1, 12),
+        kind=st.sampled_from(["heisenberg", "torus"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_float_points_match_point(self, coeffs, base, step, length, kind):
+        # the integer walk along P agrees with the exact point at each n
+        Mf = Nilmanifold.heisenberg() if kind == "heisenberg" else Nilmanifold.torus(3)
+        g = PolySequence([PolyPhase.monomial(c) for c in coeffs])
+        P = Progression(base, step, length)
+        want = [tuple(float(u) for u in g.point(Mf, n)) for n in P.elements()]
+        assert g.float_points(Mf, P) == want
+
     def test_compose_affine_pointwise(self):
         Mf = Nilmanifold.torus(2)
         g = PolySequence(

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,3 +206,38 @@ class TestBruteDiamChannels:
         # values alternate between -1 and 1
         d = brute_diam(payload, Progression(1, 1, 10), channel="nilsequence")
         assert abs(d - 2.0) < 1e-12
+
+
+def _pairwise_circle_diam(vals):
+    """Reference for the verifier's sweep: every pair of exact residues,
+    one numpy row per point (needs the common denominator below 2^62)."""
+    vals = [v - (v.numerator // v.denominator) for v in vals]
+    D = math.lcm(*(v.denominator for v in vals))
+    assert D < 2**62
+    u = np.array([v.numerator * (D // v.denominator) for v in vals], dtype=np.int64)
+    best = 0
+    for i in range(len(u) - 1):
+        d = np.abs(u[i + 1 :] - u[i])
+        best = max(best, int(np.minimum(d, D - d).max()))
+    return Fraction(best, D)
+
+
+def test_brute_diam_sweep_matches_pairwise():
+    rng = random.Random(2026)
+    lengths = [1, 2, 3, 4, 5, 17, 250, 1000, 2000, 2000]
+    for L in lengths + [rng.randint(1, 2000) for _ in range(6)]:
+        basis = rng.choice(["binomial", "monomial"])
+        deg = rng.randint(0, 3)
+        if rng.random() < 0.3:
+            coeffs = [rng.uniform(-4, 4) for _ in range(deg + 1)]  # dyadic denominators
+        else:
+            coeffs = [Fraction(rng.randint(-500, 500), rng.randint(1, 300)) for _ in range(deg + 1)]
+        phi = PolyPhase(coeffs, basis)
+        P = Progression(rng.randint(-(10**5), 10**5), rng.choice([-7, -1, 1, 3, 12]), L)
+        if basis == "monomial":
+            terms = [lambda n, j=j: n**j for j in range(deg + 1)]
+        else:
+            terms = [lambda n, j=j: Fraction(math.prod(n - i for i in range(j)), math.factorial(j))
+                     for j in range(deg + 1)]
+        vals = [sum(Fraction(c) * t(n) for c, t in zip(coeffs, terms)) for n in P.elements()]
+        assert brute_diam({"phase": phi.to_json()}, P) == _pairwise_circle_diam(vals), (L, basis, coeffs)

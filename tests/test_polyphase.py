@@ -219,11 +219,13 @@ class TestReduceDegree:
         coeffs=st.lists(rationals, min_size=2, max_size=3),
         length=st.integers(4, 120),
         theta=st.fractions(min_value=Fraction(1, 64), max_value=Fraction(1, 4), max_denominator=64),
+        base=st.integers(-50, 50),
+        step=st.sampled_from([1, 1, 2, -1, -3]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_contract(self, coeffs, length, theta):
+    def test_contract(self, coeffs, length, theta, base, step):
         phi = PolyPhase.monomial(coeffs)
-        P = Progression(1, 1, length)
+        P = Progression(base, step, length)
         out = reduce_degree_partition(phi, P, theta)
         covered = []
         s = phi.degree
@@ -231,7 +233,7 @@ class TestReduceDegree:
             covered.extend(part.elements())
             assert psi.degree <= max(s - 1, 0)
             assert brute_diam_phase(phi - psi, part) <= theta
-        assert sorted(covered) == P.elements()
+        assert sorted(covered) == sorted(P.elements())
 
 
 def brute_diam_phase(phi, part):
@@ -293,3 +295,126 @@ def test_oracle_brute_diam_agrees():
     phi = PolyPhase.binomial([0, Fraction(2, 7), Fraction(3, 11)])
     P = Progression(3, 2, 60)
     assert brute_diam({"phase": phi.to_json()}, P) == brute_diam_phase(phi, P)
+
+
+# ---------------------------------------------------------------------
+# The integer kernel against from-scratch Fraction evaluation
+
+
+def ref_value(coeffs, basis, x):
+    """phi(x) evaluated directly in Fractions; x may be any rational."""
+    x = Fraction(x)
+    total = Fraction(0)
+    for j, c in enumerate(coeffs):
+        c = Fraction(c)
+        if basis == "monomial":
+            total += c * x**j
+        else:
+            falling = Fraction(1)
+            for i in range(j):
+                falling *= x - i
+            total += c * falling / math.factorial(j)
+    return total
+
+
+def ref_frac(x):
+    return x - math.floor(x)
+
+
+def ref_diam(vals):
+    vals = [ref_frac(v) for v in vals]
+    return max(
+        (min(abs(a - b), 1 - abs(a - b)) for a in vals for b in vals),
+        default=Fraction(0),
+    )
+
+
+huge_rationals = st.builds(
+    Fraction, st.integers(-(2**210), 2**210), st.integers(1, 2**200)
+)
+float_coeffs = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+coefficient = st.one_of(rationals, huge_rationals, float_coeffs, st.integers(-9, 9))
+
+
+@st.composite
+def phases(draw):
+    """(coefficients, basis): both bases, floats and huge denominators,
+    sometimes an integer top coefficient (declared above true degree)."""
+    coeffs = draw(st.lists(coefficient, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        coeffs.append(draw(st.integers(-3, 3)))
+    return coeffs, draw(st.sampled_from(["binomial", "monomial"]))
+
+
+@st.composite
+def progressions(draw, max_len=None):
+    step = draw(st.integers(-40, 40).filter(bool))
+    base = draw(st.integers(-(10**6), 10**6))
+    return Progression(base, step, draw(st.integers(1, max_len or 40)))
+
+
+class TestKernel:
+    @given(ph=phases(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_values_on_progression(self, ph, data):
+        coeffs, basis = ph
+        phi = PolyPhase(coeffs, basis)
+        # lengths 1 .. deg+2 cover the forward-difference start-up
+        P = data.draw(progressions(max_len=data.draw(st.sampled_from([len(coeffs) + 1, 40]))))
+        want = [ref_value(coeffs, basis, n) for n in P.elements()]
+        assert [Fraction(v, phi.den) for v in phi.numerators(P)] == want
+        assert [Fraction(r, phi.den) for r in phi.residues(P)] == [ref_frac(w) for w in want]
+        assert [phi.eval(n) for n in P.elements()] == [ref_frac(w) for w in want]
+
+    @given(ph=phases(), P=progressions())
+    @settings(max_examples=200, deadline=None)
+    def test_diameter(self, ph, P):
+        coeffs, basis = ph
+        phi = PolyPhase(coeffs, basis)
+        want = ref_diam([ref_value(coeffs, basis, n) for n in P.elements()])
+        got = diam_on(phi, P)
+        assert got == (want if phi.exact else float(want))
+        assert circle_diam([phi.eval(n) for n in P.elements()]) == want
+
+    @given(ph=phases(), n=st.integers(-(10**4), 10**4))
+    @settings(max_examples=200, deadline=None)
+    def test_degree_and_bases(self, ph, n):
+        coeffs, basis = ph
+        phi = PolyPhase(coeffs, basis)
+        d = len(coeffs) - 1
+        # binomial coefficients are the forward differences at 0
+        vals = [ref_value(coeffs, basis, t) for t in range(d + 1)]
+        alphas = []
+        for _ in range(d + 1):
+            alphas.append(vals[0])
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        assert phi.binomial_coeffs() == alphas
+        assert phi.degree == max((j for j in range(1, d + 1) if alphas[j].denominator > 1), default=0)
+        other = phi.in_basis("monomial" if basis == "binomial" else "binomial")
+        assert other.eval_real(n) == ref_value(coeffs, basis, n)
+
+    @given(
+        ph=phases(),
+        a=st.integers(-30, 30),
+        b=st.integers(-(10**5), 10**5),
+        P=progressions(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_compose_integer(self, ph, a, b, P):
+        coeffs, basis = ph
+        psi = compose_affine(PolyPhase(coeffs, basis), a, b)
+        want = [ref_frac(ref_value(coeffs, basis, a * m + b)) for m in P.elements()]
+        assert [Fraction(r, psi.den) for r in psi.residues(P)] == want
+
+    @given(
+        ph=phases(),
+        a=st.fractions(min_value=-20, max_value=20, max_denominator=50),
+        b=st.fractions(min_value=-500, max_value=500, max_denominator=50),
+        m=st.integers(-200, 200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_compose_rational(self, ph, a, b, m):
+        coeffs, basis = ph
+        psi = PolyPhase(coeffs, basis).compose_affine_frac(a, b)
+        assert psi.eval_real(m) == ref_value(coeffs, basis, a * m + b)
+        assert psi.basis == basis and psi.declared_degree == len(coeffs) - 1
