@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidArgumentError
-from .gowers import DenseSet, InverseWitness, ap_count, balanced, inverse_u2, m_embed
+from .gowers import DenseSet, InverseWitness, ap_count, ap_hits, balanced, inverse_u2, m_embed
 from .polyphase import PolyPhase, lift, partition_polyphase
 from .progressions import Progression
 
@@ -126,25 +124,15 @@ def find_ap(A, k):
     """A nontrivial k-AP inside A, or None.  Deterministic: scan the
     common difference with the most progressions (smallest on ties),
     then the smallest starting point."""
-    N = A.N
-    if len(A.members) < k:
+    # max keeps the first maximal item, which is the smallest d
+    d, hits = max(ap_hits(A, k), key=lambda dh: dh[1].bit_count(), default=(0, 0))
+    if not hits:
         return None
-    ind = np.zeros(N + 1, dtype=bool)
-    ind[np.array(A.members, dtype=np.int64)] = True
-    best = None  # (count, d, first_n)
-    for d in range(1, (N - 1) // (k - 1) + 1):
-        hits = ind[1 : N + 1 - (k - 1) * d].copy()
-        for i in range(1, k):
-            hits &= ind[1 + i * d : N + 1 - (k - 1) * d + i * d]
-        c = int(hits.sum())
-        if c > 0 and (best is None or c > best[0]):
-            best = (c, d, int(np.argmax(hits)) + 1)
-    if best is None:
-        return None
-    _, d, n = best
-    prog = Progression(n, d, k)
-    assert all(x in set(A.members) for x in prog.elements())
-    return prog
+    n = (hits & -hits).bit_length() - 1
+    B = A.mask()
+    if not all(B >> (n + i * d) & 1 for i in range(k)):
+        raise AssertionError(f"AP scan chose {n} + {d} * [0..{k - 1}], not inside A")
+    return Progression(n, d, k)
 
 
 # ---------------------------------------------------------------------

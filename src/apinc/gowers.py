@@ -55,6 +55,12 @@ class DenseSet:
     def __len__(self):
         return len(self.members)
 
+    def mask(self):
+        """Python int with bit n set iff n is a member."""
+        bits = np.zeros(self.N + 1, dtype=bool)
+        bits[np.array(self.members, dtype=np.int64)] = True
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
     def indicator(self, M=None):
         """0/1 array over Z_M (window [1..N] embedded at its residues)."""
         M = M or self.N + 1
@@ -227,28 +233,51 @@ def lambda_k_exact(sets_as_indicators, M):
     return total
 
 
+def ap_hits(A, k):
+    """Iterator of (d, hits) for d = 1..(N-1)//(k-1): bit n of the int
+    `hits` is set iff n, n+d, .., n+(k-1)d all lie in A.
+
+    A is packed once into the int B = A.mask(), and then
+    hits = B & (B >> d) & .. & (B >> (k-1)d); no window bound is needed
+    because B has no bits above N.  Empty when A has fewer than k
+    members.  The scan costs about (k-1) ceil((N+1)/64) word operations
+    per d, and that total is checked against the work budget first.
+    """
+    if k < 3:
+        raise InvalidArgumentError("k must be >= 3")
+    if len(A.members) < k:
+        return iter(())
+    N = A.N
+    dmax = (N - 1) // (k - 1)
+    cost = dmax * (k - 1) * -(-(N + 1) // 64)
+    budget = work_budget()
+    if cost > budget:
+        raise BudgetExceededError(
+            f"k-AP scan of [1..{N}] needs {cost} word operations > budget {budget}"
+        )
+    B = A.mask()
+
+    def scan():
+        for d in range(1, dmax + 1):
+            hits = B & (B >> d)
+            for i in range(2, k):
+                hits &= B >> (i * d)
+            yield d, hits
+
+    return scan()
+
+
 def ap_count(A, k, nontrivial=True):
     """Exact number of k-term APs in A (d > 0 if nontrivial, else d >= 0
     with each trivial progression counted once).
 
-    Direct enumeration with a vectorized d-scan; the Lambda_k embedding
-    identity (count over all signed d equals Lambda_k * M^2 on the
-    window) is exercised in tests, not relied on here.
+    Direct enumeration: the popcounts of the bitmask scan `ap_hits`.
+    The Lambda_k embedding identity (count over all signed d equals
+    Lambda_k * M^2 on the window) is exercised in tests, not relied on
+    here.
     """
-    if k < 3:
-        raise InvalidArgumentError("k must be >= 3")
-    count = 0 if nontrivial else len(A.members)
-    if len(A.members) < k:
-        return count
-    N = A.N
-    ind = np.zeros(N + 1, dtype=bool)
-    ind[np.array(A.members, dtype=np.int64)] = True
-    for d in range(1, (N - 1) // (k - 1) + 1):
-        hits = ind[1 : N + 1 - (k - 1) * d]
-        for i in range(1, k):
-            hits = hits & ind[1 + i * d : N + 1 - (k - 1) * d + i * d]
-        count += int(hits.sum())
-    return count
+    scan = ap_hits(A, k)
+    return (0 if nontrivial else len(A.members)) + sum(h.bit_count() for _, h in scan)
 
 
 def von_neumann_check(fs):

@@ -59,6 +59,14 @@ class TestCount:
         assert code == 4
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("command", ["count", "roth"])
+    def test_budget_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("APINC_BUDGET", "1000")
+        p = write_json(tmp_path / "a.json", DenseSet(512, range(1, 513)).to_json())
+        code, out, err = run(capsys, command, "--set", p, "--k", "3")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "budget-exceeded"
+
 
 class TestGowers:
     def test_methods_agree(self, tmp_path, capsys):

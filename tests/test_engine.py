@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +19,10 @@ from apinc.engine import (
     increment_from_witness,
     szemeredi_search,
 )
-from apinc.errors import InvalidArgumentError
+from apinc.errors import BudgetExceededError, InvalidArgumentError
 from apinc.gowers import DenseSet, InverseWitness, ap_count, balanced
 from apinc.oracle import brute_ap_count
+from apinc.progressions import Progression
 
 
 def digit_restricted(N, base=3, allowed=(0, 1)):
@@ -35,6 +38,44 @@ def digit_restricted(N, base=3, allowed=(0, 1)):
         else:
             out.append(n)
     return out
+
+
+def numpy_find_ap(A, k):
+    """Reference: the earlier numpy d-scan with the same selection rule."""
+    N = A.N
+    if len(A.members) < k:
+        return None
+    ind = np.zeros(N + 1, dtype=bool)
+    ind[np.array(A.members, dtype=np.int64)] = True
+    best = None  # (count, d, first_n)
+    for d in range(1, (N - 1) // (k - 1) + 1):
+        hits = ind[1 : N + 1 - (k - 1) * d].copy()
+        for i in range(1, k):
+            hits &= ind[1 + i * d : N + 1 - (k - 1) * d + i * d]
+        c = int(hits.sum())
+        if c > 0 and (best is None or c > best[0]):
+            best = (c, d, int(np.argmax(hits)) + 1)
+    if best is None:
+        return None
+    _, d, n = best
+    return Progression(n, d, k)
+
+
+@st.composite
+def scan_sets(draw, k):
+    """Subsets of [1..N], N <= 300: empty, full, fewer than k members, or
+    random at a drawn density, the last optionally forced to contain N."""
+    N = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["empty", "full", "few", "random"]))
+    if shape == "empty":
+        return DenseSet(N, [])
+    if shape == "full":
+        return DenseSet(N, range(1, N + 1))
+    if shape == "few":
+        return DenseSet(N, draw(st.lists(st.integers(1, N), max_size=k - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = np.flatnonzero(rng.random(N) < draw(st.floats(0.05, 0.95))) + 1
+    return DenseSet(N, [*members, N] if draw(st.booleans()) else members)
 
 
 class TestFindAp:
@@ -65,6 +106,35 @@ class TestFindAp:
             assert all(x in set(A.members) for x in p.elements())
         else:
             assert p is None
+
+    @given(data=st.data(), k=st.sampled_from([3, 4, 5]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_scan(self, data, k):
+        A = data.draw(scan_sets(k))
+        assert find_ap(A, k) == numpy_find_ap(A, k)
+
+    def test_tie_smallest_difference(self):
+        # d = 1 (8,9,10), d = 2 (1,3,5) and d = 4 (1,5,9) each give one
+        # progression; the smallest d wins over the smallest start
+        A = DenseSet(10, [1, 3, 5, 8, 9, 10])
+        assert find_ap(A, 3) == Progression(8, 1, 3) == numpy_find_ap(A, 3)
+
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2])
+    def test_small_k_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match="k must be >= 3"):
+            find_ap(DenseSet(8, range(1, 9)), k)
+
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("APINC_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError):
+            find_ap(DenseSet(512, range(1, 513)), 3)
+
+    def test_postcondition_checks_the_set(self, monkeypatch):
+        # a scan that reports a progression missing from A is caught
+        A = DenseSet(16, [1, 2, 3])
+        monkeypatch.setattr("apinc.engine.ap_hits", lambda A, k: iter([(4, 1 << 1)]))
+        with pytest.raises(AssertionError):
+            find_ap(A, 3)
 
 
 class TestStep:
@@ -174,6 +244,53 @@ class TestSearch:
         assert isinstance(out, APFound)
         assert brute_ap_count(DenseSet(N, out.progression.elements()), 3) >= 0
         assert all(x in set(members) for x in out.progression.elements())
+
+
+def outcome_digest(random_sets, digit_sets):
+    """SHA-256 over the JSON outcome of a k = 3 search on each random set,
+    then the JSONL trace of an fft-oracle search on each digit set."""
+    h = hashlib.sha256()
+    for A in random_sets:
+        h.update(json.dumps(szemeredi_search(A, 3, floor_n0=8)[0].to_json()).encode())
+    for A in digit_sets:
+        _, trace = szemeredi_search(A, 3, floor_n0=8, oracle=fft_oracle())
+        h.update(trace.to_json_lines().encode())
+    return h.hexdigest()
+
+
+def random_sets(seed, count, N):
+    rng = np.random.default_rng(seed)
+    return [DenseSet(N, np.flatnonzero(rng.random(N) < 0.5) + 1) for _ in range(count)]
+
+
+def bench_digit_set(seed, digits=10):
+    """The AP-free digit set of the benchmark's roth-digit workload."""
+    N = 3**digits
+    base = [sum(3**i for i in range(digits) if m >> i & 1) for m in range(2**digits)]
+    if seed == 0:
+        return DenseSet(N, [x for x in base if x] + [N])
+    rng = random.Random(seed)
+    shift = sum(3**i for i in range(digits) if rng.random() < 0.5)
+    return DenseSet(N, [1 + shift + x for x in base])
+
+
+class TestOutcomeDigest:
+    """Outcomes and traces pinned to the values the numpy d-scan gave."""
+
+    def test_small(self):
+        sets = random_sets(0, 10, 512)
+        digit = [DenseSet(729, digit_restricted(729))]
+        assert outcome_digest(sets, digit) == (
+            "3fc38d6cf7d95f74f1821d115ffedd94314e5d60f4a8f6b2d261401e0f6ef159"
+        )
+
+    def test_benchmark_inputs(self):
+        # roth-random's 100 sets at seeds 0 and 7, roth-digit at seeds 0, 3, 7
+        sets = random_sets(0, 100, 8192) + random_sets(7, 100, 8192)
+        digit = [bench_digit_set(s) for s in (0, 3, 7)]
+        assert outcome_digest(sets, digit) == (
+            "56098449c49df436c8a42c293b83c7764c3b02bc953f58d83909e63a33bf7cd7"
+        )
 
 
 class TestCatalogOracle:

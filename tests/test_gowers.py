@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apinc.errors import InvalidArgumentError
+from apinc.errors import BudgetExceededError, InvalidArgumentError
 from apinc.gowers import (
     DenseSet,
     GroupFunction,
     ap_count,
+    ap_hits,
     balanced,
     catalog_inverse,
     gowers_norm,
@@ -18,6 +19,39 @@ from apinc.gowers import (
     von_neumann_check,
 )
 from apinc.oracle import brute_ap_count
+
+
+def numpy_ap_count(A, k, nontrivial=True):
+    """Reference: the earlier numpy d-scan, k slices ANDed per difference."""
+    count = 0 if nontrivial else len(A.members)
+    if len(A.members) < k:
+        return count
+    N = A.N
+    ind = np.zeros(N + 1, dtype=bool)
+    ind[np.array(A.members, dtype=np.int64)] = True
+    for d in range(1, (N - 1) // (k - 1) + 1):
+        hits = ind[1 : N + 1 - (k - 1) * d]
+        for i in range(1, k):
+            hits = hits & ind[1 + i * d : N + 1 - (k - 1) * d + i * d]
+        count += int(hits.sum())
+    return count
+
+
+@st.composite
+def scan_sets(draw, k):
+    """Subsets of [1..N], N <= 300: empty, full, fewer than k members, or
+    random at a drawn density, the last optionally forced to contain N."""
+    N = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["empty", "full", "few", "random"]))
+    if shape == "empty":
+        return DenseSet(N, [])
+    if shape == "full":
+        return DenseSet(N, range(1, N + 1))
+    if shape == "few":
+        return DenseSet(N, draw(st.lists(st.integers(1, N), max_size=k - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = np.flatnonzero(rng.random(N) < draw(st.floats(0.05, 0.95))) + 1
+    return DenseSet(N, [*members, N] if draw(st.booleans()) else members)
 
 
 def random_bounded(M, seed):
@@ -38,6 +72,10 @@ class TestDenseSet:
             DenseSet(10, [0, 3])
         with pytest.raises(InvalidArgumentError):
             DenseSet(10, [11])
+
+    def test_mask_bits(self):
+        assert DenseSet(10, [1, 3, 10]).mask() == 0b10000001010
+        assert DenseSet(10, []).mask() == 0
 
     def test_json_roundtrip(self):
         A = DenseSet(12, [2, 7, 11])
@@ -178,6 +216,34 @@ class TestApCount:
         A = DenseSet(9, [1, 4, 9])
         assert ap_count(A, 3) == 0
         assert ap_count(A, 3, nontrivial=False) == 3
+
+    @given(data=st.data(), k=st.sampled_from([3, 4, 5]), nontrivial=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_scan(self, data, k, nontrivial):
+        A = data.draw(scan_sets(k))
+        assert ap_count(A, k, nontrivial) == numpy_ap_count(A, k, nontrivial)
+
+    def test_hits_bits(self):
+        A = DenseSet(10, [1, 2, 3, 5, 7, 10])
+        hits = dict(ap_hits(A, 3))
+        assert list(hits) == [1, 2, 3, 4]
+        # d = 1: 1,2,3; d = 2: 1,3,5 and 3,5,7; d = 3: 1,4,7 misses 4
+        assert hits == {1: 1 << 1, 2: 1 << 1 | 1 << 3, 3: 0, 4: 0}
+
+    def test_small_k_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            ap_count(DenseSet(8, range(1, 9)), 2)
+
+    def test_budget(self, monkeypatch):
+        # N = 8192, k = 3: 4095 differences, 2 shifts of 129 words each
+        A = DenseSet(8192, range(1, 8193, 2))
+        monkeypatch.setenv("APINC_BUDGET", str(4095 * 2 * 129))
+        assert ap_count(A, 3) == numpy_ap_count(A, 3)
+        monkeypatch.setenv("APINC_BUDGET", str(4095 * 2 * 129 - 1))
+        with pytest.raises(BudgetExceededError):
+            ap_count(A, 3)
+        # a set with fewer than k members scans nothing, whatever N
+        assert ap_count(DenseSet(10**9, [1, 10**9]), 3) == 0
 
 
 class TestVonNeumann:
