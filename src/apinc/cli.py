@@ -186,7 +186,6 @@ def build_parser():
         prog="apinc",
         description="arithmetic-progression partitions, Gowers norms, density increments",
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count k-term APs in a set")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .gowers import DenseSet, InverseWitness, ap_count, ap_hits, balanced, inverse_u2, m_embed
+from .gowers import DenseSet, InverseWitness, ap_count, ap_scan, balanced, inverse_u2, m_embed
 from .polyphase import PolyPhase, lift, partition_polyphase
 from .progressions import Progression
 
@@ -121,11 +121,11 @@ ORACLES = {"fft": fft_oracle, "catalog": catalog_oracle}
 
 
 def find_ap(A, k):
-    """A nontrivial k-AP inside A, or None.  Deterministic: scan the
-    common difference with the most progressions (smallest on ties),
-    then the smallest starting point."""
-    # max keeps the first maximal item, which is the smallest d
-    d, hits = max(ap_hits(A, k), key=lambda dh: dh[1].bit_count(), default=(0, 0))
+    """A nontrivial k-AP inside A, or None.  Deterministic: the common
+    difference with the most progressions (smallest on ties), then the
+    smallest starting point, both read from `ap_scan`; right after
+    `ap_count` on the same A this reuses that scan."""
+    _, d, hits = ap_scan(A, k)
     if not hits:
         return None
     n = (hits & -hits).bit_length() - 1

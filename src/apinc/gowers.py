@@ -17,6 +17,7 @@ AP count of A by  count_with_trivial = Lambda_k(1_A,..,1_A) * M^2
 restricted to the window (each AP and its mirror both counted).
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,6 +203,19 @@ def gowers_norm(f, k, budget=None):
     return max(power(values, k), 0.0) ** (1.0 / 2**k)
 
 
+def _lambda_sum(vals, M):
+    """sum_{n,d} prod_i vals[i][(n + i d) mod M], accumulated in Python
+    (complex for complex slots, an exact int for integer slots)."""
+    idx = np.arange(M)
+    total = 0
+    for d in range(M):
+        prod = vals[0].copy()
+        for i in range(1, len(vals)):
+            prod = prod * vals[i][(idx + i * d) % M]
+        total += prod.sum().item()
+    return total
+
+
 def lambda_k(fs):
     """Lambda_k(f_0..f_{k-1}) = E_{n,d} prod_i f_i(n + i d) on Z_M."""
     if not fs:
@@ -210,74 +224,71 @@ def lambda_k(fs):
     M = len(vals[0])
     if any(len(v) != M for v in vals):
         raise InvalidArgumentError("all slots must share one modulus")
-    total = 0.0 + 0.0j
-    for d in range(M):
-        prod = vals[0].copy()
-        idx = np.arange(M)
-        for i in range(1, len(vals)):
-            prod = prod * vals[i][(idx + i * d) % M]
-        total += prod.sum()
-    return total / M**2
+    return _lambda_sum(vals, M) / M**2
 
 
 def lambda_k_exact(sets_as_indicators, M):
     """Integer sum_{n,d} prod_i a_i(n + i d) for 0/1 integer arrays."""
-    vals = [np.asarray(a, dtype=np.int64) for a in sets_as_indicators]
-    idx = np.arange(M)
-    total = 0
-    for d in range(M):
-        prod = vals[0].copy()
-        for i in range(1, len(vals)):
-            prod = prod * vals[i][(idx + i * d) % M]
-        total += int(prod.sum())
-    return total
+    return _lambda_sum([np.asarray(a, dtype=np.int64) for a in sets_as_indicators], M)
 
 
-def ap_hits(A, k):
-    """Iterator of (d, hits) for d = 1..(N-1)//(k-1): bit n of the int
-    `hits` is set iff n, n+d, .., n+(k-1)d all lie in A.
+def ap_scan(A, k):
+    """(count, d, hits) from one pass over d = 1..(N-1)//(k-1): `count`
+    is the number of nontrivial k-APs in A, `d` the first difference
+    with the most of them and bit n of the int `hits` is set iff n, n+d,
+    .., n+(k-1)d all lie in A.  (0, 0, 0) when A has no k-AP.
 
-    A is packed once into the int B = A.mask(), and then
-    hits = B & (B >> d) & .. & (B >> (k-1)d); no window bound is needed
-    because B has no bits above N.  Empty when A has fewer than k
-    members.  The scan costs about (k-1) ceil((N+1)/64) word operations
-    per d, and that total is checked against the work budget first.
+    A is packed once into the int B = A.mask(), and for each d the
+    starts are B & (B >> d) & .. & (B >> (k-1)d); no window bound is
+    needed because B has no bits above N.  Sets with fewer than k
+    members scan nothing.  The scan costs about (k-1) ceil((N+1)/64)
+    word operations per d, and that total is checked against the work
+    budget on every call, before the memoised pass.
     """
     if k < 3:
         raise InvalidArgumentError("k must be >= 3")
     if len(A.members) < k:
-        return iter(())
+        return 0, 0, 0
     N = A.N
-    dmax = (N - 1) // (k - 1)
-    cost = dmax * (k - 1) * -(-(N + 1) // 64)
+    cost = (N - 1) // (k - 1) * (k - 1) * -(-(N + 1) // 64)
     budget = work_budget()
     if cost > budget:
         raise BudgetExceededError(
             f"k-AP scan of [1..{N}] needs {cost} word operations > budget {budget}"
         )
+    return _ap_pass(A, k)
+
+
+# Memoised on the last (A, k) so that the engine's ap_count(A, k) > 0 then
+# find_ap(A, k) costs one pass.  The engine keeps that ap_count call only
+# because perfbench/test_perfbench.py pins the engine.ap_count wrapper;
+# once a benchmark change re-points that test, the engine can call
+# find_ap alone and this memo can go.
+@functools.lru_cache(maxsize=1)
+def _ap_pass(A, k):
     B = A.mask()
-
-    def scan():
-        for d in range(1, dmax + 1):
-            hits = B & (B >> d)
-            for i in range(2, k):
-                hits &= B >> (i * d)
-            yield d, hits
-
-    return scan()
+    count, best_d, best_hits, best = 0, 0, 0, 0
+    for d in range(1, (A.N - 1) // (k - 1) + 1):
+        hits = B & (B >> d)
+        for i in range(2, k):
+            hits &= B >> (i * d)
+        c = hits.bit_count()
+        count += c
+        if c > best:
+            best, best_d, best_hits = c, d, hits
+    return count, best_d, best_hits
 
 
 def ap_count(A, k, nontrivial=True):
     """Exact number of k-term APs in A (d > 0 if nontrivial, else d >= 0
     with each trivial progression counted once).
 
-    Direct enumeration: the popcounts of the bitmask scan `ap_hits`.
-    The Lambda_k embedding identity (count over all signed d equals
-    Lambda_k * M^2 on the window) is exercised in tests, not relied on
-    here.
+    Direct enumeration: the count of the bitmask scan `ap_scan`, whose
+    pass `engine.find_ap` then reuses on the same A.  The Lambda_k
+    embedding identity (count over all signed d equals Lambda_k * M^2 on
+    the window) is exercised in tests, not relied on here.
     """
-    scan = ap_hits(A, k)
-    return (0 if nontrivial else len(A.members)) + sum(h.bit_count() for _, h in scan)
+    return (0 if nontrivial else len(A.members)) + ap_scan(A, k)[0]
 
 
 def von_neumann_check(fs):

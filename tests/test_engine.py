@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apinc import gowers
 from apinc.engine import (
     APFound,
     Incremented,
@@ -132,9 +133,26 @@ class TestFindAp:
     def test_postcondition_checks_the_set(self, monkeypatch):
         # a scan that reports a progression missing from A is caught
         A = DenseSet(16, [1, 2, 3])
-        monkeypatch.setattr("apinc.engine.ap_hits", lambda A, k: iter([(4, 1 << 1)]))
+        monkeypatch.setattr("apinc.engine.ap_scan", lambda A, k: (1, 4, 1 << 1))
         with pytest.raises(AssertionError):
             find_ap(A, 3)
+
+    def test_memo_hit_still_checks_the_budget(self, monkeypatch):
+        # N = 8192, k = 3: 4095 differences, 2 shifts of 129 words each
+        A = DenseSet(8192, range(1, 8193, 3))
+        monkeypatch.setenv("APINC_BUDGET", str(4095 * 2 * 129))
+        assert ap_count(A, 3) > 0
+        monkeypatch.setenv("APINC_BUDGET", str(4095 * 2 * 129 - 1))
+        with pytest.raises(BudgetExceededError):
+            find_ap(A, 3)
+
+    def test_memo_is_keyed_by_value(self):
+        # alternating sets and k, each answer matches the references
+        rng = np.random.default_rng(5)
+        sets = [DenseSet(200, np.flatnonzero(rng.random(200) < 0.4) + 1) for _ in range(2)]
+        for A, k in [(sets[0], 3), (sets[1], 3), (sets[0], 3), (sets[0], 4), (sets[1], 4)] * 2:
+            assert ap_count(A, k) == brute_ap_count(A, k)
+            assert find_ap(A, k) == numpy_find_ap(A, k)
 
 
 class TestStep:
@@ -142,6 +160,14 @@ class TestStep:
         A = DenseSet(64, range(1, 65))
         out = density_increment_step(A, 3)
         assert isinstance(out, APFound)
+
+    def test_ap_found_with_one_scan(self):
+        # ap_count then find_ap on the same set: the pass runs once
+        A = random_sets(3, 1, 512)[0]
+        gowers._ap_pass.cache_clear()
+        out = density_increment_step(A, 3)
+        assert gowers._ap_pass.cache_info().misses == 1
+        assert out == APFound(numpy_find_ap(A, 3))
 
     def test_small_k_rejected(self):
         with pytest.raises(InvalidArgumentError):

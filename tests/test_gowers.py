@@ -8,7 +8,7 @@ from apinc.gowers import (
     DenseSet,
     GroupFunction,
     ap_count,
-    ap_hits,
+    ap_scan,
     balanced,
     catalog_inverse,
     gowers_norm,
@@ -223,12 +223,10 @@ class TestApCount:
         A = data.draw(scan_sets(k))
         assert ap_count(A, k, nontrivial) == numpy_ap_count(A, k, nontrivial)
 
-    def test_hits_bits(self):
+    def test_scan_result(self):
+        # d = 1: 1,2,3; d = 2: 1,3,5 and 3,5,7; d = 3, 4: none
         A = DenseSet(10, [1, 2, 3, 5, 7, 10])
-        hits = dict(ap_hits(A, 3))
-        assert list(hits) == [1, 2, 3, 4]
-        # d = 1: 1,2,3; d = 2: 1,3,5 and 3,5,7; d = 3: 1,4,7 misses 4
-        assert hits == {1: 1 << 1, 2: 1 << 1 | 1 << 3, 3: 0, 4: 0}
+        assert ap_scan(A, 3) == (3, 2, 1 << 1 | 1 << 3)
 
     def test_small_k_rejected(self):
         with pytest.raises(InvalidArgumentError):
