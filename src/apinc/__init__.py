@@ -60,7 +60,7 @@ from .polyphase import (
     smoothness_norm,
     weyl_min,
 )
-from .progressions import PartitionCertificate, Progression, rescale_map, subdivide
+from .progressions import PartitionCertificate, Progression, subdivide
 
 __version__ = "0.1.0"
 
@@ -105,7 +105,6 @@ __all__ = [
     "partition_nilsequence",
     "partition_polyphase",
     "rationalize_phase",
-    "rescale_map",
     "smoothness_norm",
     "subdivide",
     "szemeredi_search",

@@ -13,9 +13,9 @@ nil sequences are semicolon-separated phase specs, one per coordinate.
 
 import argparse
 import json
+import math
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     ApincError,
@@ -23,7 +23,7 @@ from .errors import (
     CertificateError,
     InvalidArgumentError,
 )
-from .polyphase import PolyPhase
+from .polyphase import PolyPhase, lift
 from .progressions import Progression
 
 EXIT_OK = 0
@@ -39,9 +39,12 @@ _TERM = re.compile(
 
 def parse_coeff(text):
     if "/" in text:
-        return Fraction(text.replace("_", ""))
+        return lift(text.replace("_", ""))  # InvalidArgumentError on a zero denominator
     if "." in text or "e" in text or "E" in text:
-        return float(text)
+        x = float(text)
+        if not math.isfinite(x):
+            raise InvalidArgumentError(f"coefficient {text!r} is not finite")
+        return x
     return int(text)
 
 
@@ -139,7 +142,11 @@ def cmd_partition_nil(args):
     if args.manifold == "heisenberg":
         Mf = Nilmanifold.heisenberg()
     elif args.manifold.startswith("torus:"):
-        Mf = Nilmanifold.torus(int(args.manifold.split(":", 1)[1]))
+        dim = args.manifold.split(":", 1)[1]
+        try:
+            Mf = Nilmanifold.torus(int(dim))
+        except ValueError as e:
+            raise InvalidArgumentError(f"torus dimension must be an integer, got {dim!r}") from e
     else:
         raise InvalidArgumentError(f"unknown manifold {args.manifold!r}")
     coords = [parse_phase(s) for s in args.seq.split(";")]

@@ -17,6 +17,7 @@ before an outcome is returned.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -129,9 +130,11 @@ def find_ap(A, k):
     if not hits:
         return None
     n = (hits & -hits).bit_length() - 1
-    B = A.mask()
-    if not all(B >> (n + i * d) & 1 for i in range(k)):
-        raise AssertionError(f"AP scan chose {n} + {d} * [0..{k - 1}], not inside A")
+    ms = A.members  # sorted: check by bisection, apart from the scan's mask
+    for x in range(n, n + k * d, d):
+        j = bisect_left(ms, x)
+        if j == len(ms) or ms[j] != x:
+            raise AssertionError(f"AP scan chose {n} + {d} * [0..{k - 1}], not inside A")
     return Progression(n, d, k)
 
 

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedManifoldError,
 )
 from .polyphase import PolyPhase, circ_dist, frac, lift, partition_polyphase
-from .progressions import PartitionCertificate, Progression, merge_parts
+from .progressions import PartitionCertificate, refine, repair
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,21 +58,16 @@ TWO_PI = 2.0 * math.pi
 class Nilmanifold:
     kind: str  # "torus" | "heisenberg"
     dim: int
-    complexity: float = 1.0
 
     @classmethod
-    def torus(cls, d, complexity=1.0):
+    def torus(cls, d):
         if d < 0:
             raise InvalidArgumentError("torus dimension must be >= 0")
-        return cls("torus", d, complexity)
+        return cls("torus", d)
 
     @classmethod
-    def heisenberg(cls, complexity=1.0):
-        return cls("heisenberg", 3, complexity)
-
-    @property
-    def ncoords(self):
-        return self.dim
+    def heisenberg(cls):
+        return cls("heisenberg", 3)
 
     def metric(self, a, b):
         """Max of coordinate circle distances between reduced points."""
@@ -500,7 +495,7 @@ def factorize_polyseq(Mf, g, P, eta, Qmax=64):
             for i in range(Mf.dim)
         ]
         gprime = PolySequence(gp)
-        subgroup = Nilmanifold.torus(Mf.dim - 1, Mf.complexity)
+        subgroup = Nilmanifold.torus(Mf.dim - 1)
     else:
         x, y, z = g_loc.coords
         if pivot == 0:
@@ -513,7 +508,7 @@ def factorize_polyseq(Mf, g, P, eta, Qmax=64):
             gamma = PolySequence([zero, c_poly, zero])
             # (0,b,0)*(x,0,z')*(0,c,0) = (x, b+c, z'+x*c)
             gprime = PolySequence([x, y - b_poly - c_poly, z - _poly_prod(x, c_poly)])
-        subgroup = Nilmanifold.torus(2, Mf.complexity)
+        subgroup = Nilmanifold.torus(2)
 
     # measured smoothness constant of beta on deterministic pairs
     C = 0.0
@@ -572,43 +567,30 @@ def reduce_dimension(Mf, g, F, P, eps):
     if not 0 < eps_f <= Fraction(1, 2):
         raise PreconditionError("eps must lie in (0, 1/2]")
 
-    if Mf.kind == "torus":
-        succ = Nilmanifold.torus(Mf.dim - 1, Mf.complexity)
-        coord_phases = list(g.coords)
-    else:
-        succ = Nilmanifold.torus(2, Mf.complexity)
-        coord_phases = list(g.coords)
-
     if not F.factors:
-        point = Nilmanifold.torus(0, Mf.complexity)
-        return [(P, point, PolySequence([]), F)]
+        return [(P, Nilmanifold.torus(0), PolySequence([]), F)]
 
+    # a torus loses the pivot coordinate; the Heisenberg quotient
+    # (dim 3) leaves the 2-torus of its other two coordinates
+    succ = Nilmanifold.torus(Mf.dim - 1)
     pivot = F.factors[0].coord
     Lp = F.coord_lipschitz(pivot)
     target = min(eps_f / lift(Lp), Fraction(1, 2))
-    cert = partition_polyphase(coord_phases[pivot], P, target)
+    pivot_phase = g.coords[pivot]
+    cert = partition_polyphase(pivot_phase, P, target)
 
-    pivot_phase = coord_phases[pivot]
-    rest = [c for i, c in enumerate(coord_phases) if i != pivot]
+    rest = [c for i, c in enumerate(g.coords) if i != pivot]
     h = PolySequence(rest)
-    out = []
-    for Q in cert.parts:
-        stack = [Q]
-        while stack:
-            R = stack.pop()
-            F2 = F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
-            dev = max(
-                abs(F.value(u) - F2.value(v))
-                for u, v in zip(g.float_points(Mf, R), _phase_points(rest, R))
-            )
-            if R.len == 1 or dev <= float(eps_f) + 2**-30:
-                out.append((R, succ, h, F2))
-            else:
-                h1 = R.len // 2
-                stack.append(Progression(R.base + h1 * R.step, R.step, R.len - h1))
-                stack.append(Progression(R.base, R.step, h1))
-    out.sort(key=lambda t: t[0].base)
-    return out
+
+    def build(R):
+        F2 = F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
+        dev = max(
+            abs(F.value(u) - F2.value(v))
+            for u, v in zip(g.float_points(Mf, R), _phase_points(rest, R))
+        )
+        return F2 if R.len == 1 or dev <= float(eps_f) + 2**-30 else None
+
+    return [(R, succ, h, F2) for R, F2 in repair(cert.parts, build)]
 
 
 def partition_nilsequence(Mf, g, F, P, eps):
@@ -630,28 +612,17 @@ def partition_nilsequence(Mf, g, F, P, eps):
     level_eps = eps_f / d0
     eps_val = float(eps_f)
 
-    def valuer(Q):
-        return nil_values(Mf, g, F, Q)
+    def fits(Q):
+        return complex_diam(nil_values(Mf, g, F, Q)) <= eps_val
 
-    parts = []
-    max_depth = 0
+    def live(Mf2, g2, F2):  # None once no coordinate is left to freeze
+        return (Mf2, g2, F2) if F2.factors and Mf2.dim else None
 
-    def rec(Mf2, g2, F2, Q, depth):
-        nonlocal max_depth
-        max_depth = max(max_depth, depth)
-        if not F2.factors or Mf2.dim == 0 or Q.len == 1:
-            parts.append(Q)
-            return
-        if complex_diam(valuer(Q)) <= eps_val:
-            parts.append(Q)
-            return
-        for R, Mf3, g3, F3 in reduce_dimension(Mf2, g2, F2, Q, level_eps):
-            rec(Mf3, g3, F3, R, depth + 1)
+    def reduce(state, Q):
+        return [(R, live(*rest)) for R, *rest in reduce_dimension(*state, Q, level_eps)]
 
-    rec(Mf, g, F, P, 0)
-    parts = merge_parts(parts, lambda Q: complex_diam(valuer(Q)) <= eps_val)
-    parts.sort(key=lambda p: p.base)
-    witnesses = [complex_diam(valuer(p)) for p in parts]
+    parts, max_depth = refine(P, live(Mf, g, F), fits, reduce)
+    witnesses = [complex_diam(nil_values(Mf, g, F, p)) for p in parts]
     assert all(w <= eps_val + 2**-35 for w in witnesses)
     return PartitionCertificate(
         source=P,

@@ -267,16 +267,35 @@ def verify_certificate(cert, budget=None):
     Checks disjointness, exact coverage of the source, the minimum part
     length, and recomputes every diameter witness with the independent
     channel evaluator.  Raises CertificateError with a machine-readable
-    reason on the first violation; returns a report dict on success.
+    reason on the first violation ("malformed-certificate" when a field
+    it reads is missing, unreadable or not finite); returns a report
+    dict on success.
     """
     from .progressions import Progression
 
     if hasattr(cert, "to_json"):
         cert = cert.to_json()
-    source = Progression.from_json(cert["source"])
-    parts = [Progression.from_json(p) for p in cert["parts"]]
-    eps = float(cert["epsilon"])
-    channel = cert.get("channel", "polyphase")
+    try:  # every field read below, parsed up front
+        source = Progression.from_json(cert["source"])
+        parts = [Progression.from_json(p) for p in cert["parts"]]
+        stored = [float(p["diam"]) for p in cert["parts"]]
+        eps, min_len = float(cert["epsilon"]), int(cert["min_len"])
+        channel, payload = cert.get("channel", "polyphase"), cert["payload"]
+        # one channel value parses the payload's phase, or its manifold,
+        # sequence and function
+        if channel == "polyphase":
+            _phase_value(payload["phase"], source.base)
+        elif channel == "nilsequence":
+            _nil_channel_value(payload, source.base)
+        else:
+            raise CertificateError("malformed-certificate", f"unknown channel {channel!r}")
+    except (
+        InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
+    ) as e:
+        raise CertificateError("malformed-certificate", f"unreadable certificate: {e!r}") from e
+    # NaN and infinity pass every comparison below: refuse them
+    if not all(map(math.isfinite, [eps, *stored])):
+        raise CertificateError("malformed-certificate", "epsilon and every diam must be finite")
     budget = budget or work_budget()
     if source.len > budget:
         raise BudgetExceededError("certificate too large for the verification budget")
@@ -302,7 +321,6 @@ def verify_certificate(cert, budget=None):
             "coverage-gap", f"element {min(missing)} is not covered by any part"
         )
 
-    min_len = int(cert["min_len"])
     for pi, p in enumerate(parts):
         if p.len < min_len:
             raise CertificateError(
@@ -310,18 +328,17 @@ def verify_certificate(cert, budget=None):
             )
 
     witnesses = []
-    for pi, (p, pj) in enumerate(zip(parts, cert["parts"])):
-        d = float(brute_diam(cert["payload"], p, channel=channel))
-        stored = float(pj["diam"])
+    for pi, (p, w) in enumerate(zip(parts, stored)):
+        d = float(brute_diam(payload, p, channel=channel))
         if d > eps + VERIFY_TOL:
             raise CertificateError(
                 "diam-exceeds-epsilon",
                 f"part {pi} has exhaustive diameter {d} > epsilon {eps}",
             )
-        if abs(d - stored) > VERIFY_TOL:
+        if abs(d - w) > VERIFY_TOL:
             raise CertificateError(
                 "witness-mismatch",
-                f"part {pi}: stored witness {stored}, recomputed {d}",
+                f"part {pi}: stored witness {w}, recomputed {d}",
             )
         witnesses.append(d)
     return {

@@ -28,11 +28,12 @@ coefficients.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice
-from math import factorial, isqrt, lcm
+from math import factorial, isfinite, isqrt, lcm
 
 from .errors import InvalidArgumentError, NoQFoundError, PreconditionError
-from .progressions import Progression, merge_parts, subdivide
+from .progressions import Progression, refine, repair, subdivide
 
 HALF = Fraction(1, 2)
 # strictly below 6/pi^2, so the per-degree budgets sum to < epsilon
@@ -48,9 +49,14 @@ def lift(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not isfinite(x):
+            raise InvalidArgumentError(f"{x!r} is not a finite number")
         return Fraction(x)  # exact dyadic value of the double
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as e:
+            raise InvalidArgumentError(f"cannot read {x!r} as a rational number") from e
     raise InvalidArgumentError(f"cannot use {x!r} as a phase coefficient")
 
 
@@ -192,19 +198,6 @@ def _iroot(x, s):
     while (r + 1) ** s <= x:
         r += 1
     return r
-
-
-def monomial_from_binomial(alphas):
-    """Monomial coefficients of sum a_j C(n, j)."""
-    D, num = _common([lift(a) for a in alphas])
-    q = D * factorial(len(num) - 1)
-    return [Fraction(p, q) for p in _mono_from_bin(num)]
-
-
-def binomial_from_monomial(thetas):
-    """Binomial coefficients via iterated forward differences at 0."""
-    D, num = _common([lift(t) for t in thetas])
-    return [Fraction(p, D) for p in _bin_from_mono(num)]
 
 
 class PolyPhase:
@@ -510,12 +503,15 @@ def _strip_leading(phi, Q, s, loc):
     return PolyPhase._from_kernel(den, _differences(vals), "monomial", phi.exact)
 
 
-def _split_halves(Q):
-    h = Q.len // 2
-    return [
-        Progression(Q.base, Q.step, h),
-        Progression(Q.base + h * Q.step, Q.step, Q.len - h),
-    ]
+def _companion(phi, s, dl, theta, R):
+    """The degree < s companion psi of phi on R, or None when phi - psi
+    leaves a diameter above theta on R (length-1 parts always pass)."""
+    loc = _local_monomial(phi, R)
+    psi = _strip_leading(phi, R, s, loc)
+    # phi - psi on R is the local tail sum_{i>=s} loc[i] t^i
+    if R.len == 1 or _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta):
+        return psi
+    return None
 
 
 def _block_len(ratio_floor, s, length, n_w):
@@ -568,20 +564,9 @@ def reduce_degree_partition(phi, P, theta_target):
         if ell >= P.len // n:
             break  # no larger difference can allow a longer block
 
-    out = []
-    for Q in subdivide(P, n_w, ell):
-        stack = [Q]
-        while stack:
-            R = stack.pop()
-            loc = _local_monomial(phi, R)
-            psi = _strip_leading(phi, R, s, loc)
-            # phi - psi on R is the local tail sum_{i>=s} loc[i] t^i
-            if R.len == 1 or _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta):
-                out.append((R, psi))
-            else:
-                stack.extend(reversed(_split_halves(R)))
-    out.sort(key=lambda t: t[0].base)
-    return out
+    # a module-level check, not a closure: closing over s and dl would
+    # turn them into cells and slow the Weyl scan above
+    return repair(subdivide(P, n_w, ell), partial(_companion, phi, s, dl, theta))
 
 
 def partition_polyphase(phi, P, eps):
@@ -607,23 +592,13 @@ def partition_polyphase(phi, P, eps):
     def fits(Q):
         return diam_num(Q) * eps_f.denominator <= eps_f.numerator * den
 
-    parts = []
-
-    def rec(phase, Q):
-        if fits(Q):
-            parts.append(Q)
-            return
+    def reduce(phase, Q):
         s = phase.degree
-        if s == 0:
-            parts.append(Q)
-            return
-        theta = eps_f * BUDGET_WEIGHT / s**2
-        for R, psi in reduce_degree_partition(phase, Q, theta):
-            rec(psi, R)
+        if s == 0:  # constant mod 1: Q is kept whole
+            return [(Q, None)]
+        return reduce_degree_partition(phase, Q, eps_f * BUDGET_WEIGHT / s**2)
 
-    rec(phi, P)
-    parts = merge_parts(parts, fits)
-    parts.sort(key=lambda p: p.base)
+    parts, _ = refine(P, phi, fits, reduce)
     witnesses = [diam_num(p) for p in parts]
     assert all(w * eps_f.denominator <= eps_f.numerator * den for w in witnesses)
     return PartitionCertificate(

@@ -1,4 +1,4 @@
-"""Integer arithmetic progressions, subdivision and affine rescaling.
+"""Integer arithmetic progressions, subdivision and the partition skeleton.
 
 A progression is the triple (base, step, len) with elements
 base + i*step for 0 <= i < len.  All element arithmetic is checked
@@ -48,9 +48,6 @@ class Progression:
     def elements(self):
         """All elements in index order."""
         return [self.base + i * self.step for i in range(self.len)]
-
-    def element_set(self):
-        return frozenset(self.elements())
 
     def __contains__(self, x):
         q, r = divmod(x - self.base, self.step)
@@ -181,24 +178,46 @@ def merge_parts(parts, fits):
     return merged
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """The bijection i -> base + i*step from [0, len) onto elements(P)."""
+def repair(parts, build):
+    """Halving repair: pair each part R with `build(R)`, its companion,
+    replacing any part for which `build` returns None (R failed its
+    check) by its two halves until every piece passes.  `build` must
+    accept length-1 parts.  Returns (part, companion) pairs in base
+    order."""
+    out, stack = [], parts[::-1]  # popped in the order given
+    while stack:
+        R = stack.pop()
+        companion = build(R)
+        if companion is not None:
+            out.append((R, companion))
+        else:
+            h = R.len // 2
+            stack.append(Progression(R.base + h * R.step, R.step, R.len - h))
+            stack.append(Progression(R.base, R.step, h))
+    out.sort(key=lambda t: t[0].base)
+    return out
 
-    base: int
-    step: int
-    len: int
 
-    def __call__(self, i):
-        return self.base + i * self.step
+def refine(P, root, fits, reduce):
+    """The partition recursion shared by every channel.
 
-    def inverse(self, x):
-        q, r = divmod(x - self.base, self.step)
-        if r != 0 or not 0 <= q < self.len:
-            raise InvalidArgumentError(f"{x} is not an element of the progression")
-        return q
+    A part Q reached in state `state` is kept when the state is None
+    (nothing is left to reduce), Q.len == 1 or fits(Q); otherwise
+    `reduce(state, Q)` cuts it into [(R, child)] pairs and each R is
+    refined in its child state.  The kept parts are re-merged under
+    `fits`.  Returns the parts in base order and the deepest level
+    reached (P is level 0).
+    """
+    parts, depth = [], 0
 
+    def visit(Q, state, level):
+        nonlocal depth
+        if state is None or Q.len == 1 or fits(Q):
+            parts.append(Q)
+        else:
+            depth = max(depth, level + 1)
+            for R, child in reduce(state, Q):
+                visit(R, child, level + 1)
 
-def rescale_map(P):
-    """Affine map identifying [0, len(P)) with the elements of P."""
-    return AffineMap(P.base, P.step, P.len)
+    visit(P, root, 0)
+    return merge_parts(parts, fits), depth

@@ -36,6 +36,11 @@ class TestParsing:
         phi = parse_phase("0.5 n")
         assert phi.eval(3) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("text", ["1/0", "1e999", "-1e999"])
+    def test_coeff_refused(self, text):
+        with pytest.raises(InvalidArgumentError):
+            parse_coeff(text)
+
     def test_phase_bad_term(self):
         with pytest.raises(InvalidArgumentError):
             parse_phase("n^2 / 3")
@@ -140,6 +145,49 @@ class TestPartitionAndVerify:
         )
         assert code == 4
 
+    # a polyphase certificate complete but for its payload's phase
+    _NO_PHASE = {
+        "channel": "polyphase",
+        "source": {"base": 1, "step": 1, "len": 2},
+        "epsilon": 0.1,
+        "min_len": 2,
+        "parts": [{"base": 1, "step": 1, "len": 2, "diam": 0.0}],
+        "payload": {},
+    }
+
+    @pytest.mark.parametrize(
+        "argv, cert, code, error",
+        [
+            (["verify"], {}, 2, "malformed-certificate"),
+            (["verify"], _NO_PHASE, 2, "malformed-certificate"),
+            (["partition-phase", "--phase", "1/0", "--range", "1..10", "--eps", "0.1"],
+             None, 4, "invalid-argument"),
+            (["partition-phase", "--phase", "1/7 n", "--range", "1..10", "--eps", "nan"],
+             None, 4, "invalid-argument"),
+            (["partition-phase", "--phase", "1/7 n", "--range", "1..10", "--eps", "inf"],
+             None, 4, "invalid-argument"),
+            (["partition-nil", "--manifold", "torus:1", "--seq", "1/7 n", "--fn", "e(x)",
+              "--range", "1..10", "--eps", "nan"], None, 4, "invalid-argument"),
+            (["partition-nil", "--manifold", "torus:1", "--seq", "1/7 n", "--fn", "e(x)",
+              "--range", "1..10", "--eps", "inf"], None, 4, "invalid-argument"),
+            (["partition-nil", "--manifold", "torus:x", "--seq", "1/7 n", "--fn", "e(x)",
+              "--range", "1..10", "--eps", "0.1"], None, 4, "invalid-argument"),
+        ],
+        ids=["verify-empty", "verify-no-phase", "phase-zero-denominator", "phase-eps-nan",
+             "phase-eps-inf", "nil-eps-nan", "nil-eps-inf", "nil-torus-dim"],
+    )
+    def test_malformed_input_structured_error(self, tmp_path, capsys, argv, cert, code, error):
+        if cert is not None:
+            argv = argv + ["--cert", write_json(tmp_path / "cert.json", cert)]
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ""
+        payload = json.loads(err)
+        if code == 2:
+            assert payload["error"] == "verification-failed" and payload["reason"] == error
+        else:
+            assert payload["error"] == error
+        assert payload["message"]
+
     def test_byte_stable_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -147,8 +195,9 @@ class TestPartitionAndVerify:
                 "--eps", "0.1", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
-    # SHA-256 of certificates as the Fraction-based implementation wrote
-    # them: the integer kernel must reproduce them byte for byte
+    # SHA-256 of certificates as earlier implementations wrote them (the
+    # first two by the Fraction-based kernel): a change that keeps the
+    # construction must reproduce them byte for byte
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -164,8 +213,20 @@ class TestPartitionAndVerify:
                  "--fn", "e(x)*cutoff", "--range", "1..500", "--eps", "0.1"],
                 "ec5d1655c20a8fb3a63c911e292dcc5f8de1fe15aa7129dbb41c1a59c2977261",
             ),
+            (
+                ["partition-nil", "--manifold", "heisenberg",
+                 "--seq", "1.4142135623730951 n; 1.7320508075688772 n; 0",
+                 "--fn", "e(x)*cutoff", "--range", "1..5000", "--eps", "0.1"],
+                "ae156439ed8500244eebe1bca2397275bef9c96912611f9d5cfe102924e3c1e7",
+            ),
+            (
+                ["partition-nil", "--manifold", "torus:2",
+                 "--seq", "1/7 n + 3/11 C(n,2); 0.3183098861837907 n",
+                 "--fn", "e(x)*cutoff", "--range", "1..3000", "--eps", "0.2"],
+                "01cff2ad97c6af5d20e6da4ceeab7d8fab153865eb073c9dfe3ff7402f6da271",
+            ),
         ],
-        ids=["phase-2000", "heisenberg-500"],
+        ids=["phase-2000", "heisenberg-500", "heisenberg-5000", "torus2-3000"],
     )
     def test_golden_digest(self, tmp_path, capsys, argv, digest):
         path = tmp_path / "cert.json"

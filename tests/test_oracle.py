@@ -167,6 +167,33 @@ class TestVerify:
             verify_certificate(cert)
         assert ei.value.reason == "witness-mismatch"
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c: c.update(epsilon=float("nan")),
+            lambda c: c.update(epsilon=float("inf")),
+            lambda c: c["parts"][0].update(diam=float("nan")),
+            lambda c: c["parts"][0].pop("len"),
+            lambda c: c.update(channel="sphere"),
+            lambda c: c["payload"]["phase"].pop("coeffs"),
+            lambda c: c["parts"][0].update(step=0),
+            lambda c: c.update(channel="nilsequence", payload={
+                "manifold": {"kind": "sphere", "dim": 1},
+                "sequence": {"coords": [c["payload"]["phase"]]},
+                "function": {"factors": []},
+            }),
+        ],
+        ids=["eps-nan", "eps-inf", "diam-nan", "part-no-len", "unknown-channel", "phase-no-coeffs",
+             "part-zero-step", "unknown-manifold"],
+    )
+    def test_malformed_refused(self, tamper):
+        # NaN or infinite bounds would pass every comparison unnoticed
+        cert = copy.deepcopy(_sample_cert())
+        tamper(cert)
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(cert)
+        assert ei.value.reason == "malformed-certificate"
+
     def test_error_payload_machine_readable(self):
         cert = copy.deepcopy(_sample_cert())
         cert["parts"].pop()

@@ -3,13 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apinc.errors import IntegerRangeError, InvalidArgumentError
-from apinc.progressions import (
-    AffineMap,
-    PartitionCertificate,
-    Progression,
-    rescale_map,
-    subdivide,
-)
+from apinc.progressions import PartitionCertificate, Progression, refine, repair, subdivide
 
 
 class TestProgression:
@@ -93,32 +87,58 @@ class TestSubdivide:
         assert all(1 <= p.len <= block for p in parts)
 
 
-class TestRescale:
-    def test_identity_shift(self):
-        m = rescale_map(Progression(0, 1, 50))
-        assert [m(i) for i in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_negative(self):
-        m = rescale_map(Progression(7, -2, 4))
-        assert m(3) == 1
-
-    def test_inverse(self):
-        m = rescale_map(Progression(3, 5, 4))
-        assert [m(i) for i in range(4)] == [3, 8, 13, 18]
-        assert m.inverse(13) == 2
-        with pytest.raises(InvalidArgumentError):
-            m.inverse(14)
-
+class TestSkeleton:
     @given(
-        base=st.integers(-10**6, 10**6),
-        step=st.integers(-100, 100).filter(lambda s: s != 0),
-        length=st.integers(1, 1000),
+        base=st.integers(-1000, 1000),
+        step=st.integers(-20, 20).filter(lambda s: s != 0),
+        length=st.integers(1, 300),
+        mult=st.integers(1, 4),
+        cap=st.integers(1, 40),
     )
     @settings(max_examples=200, deadline=None)
-    def test_roundtrip(self, base, step, length):
-        m = rescale_map(Progression(base, step, length))
-        for i in (0, length // 2, length - 1):
-            assert m.inverse(m(i)) == i
+    def test_repair_covers_caps_and_orders(self, base, step, length, mult, cap):
+        P = Progression(base, step, length)
+        parts = subdivide(P, min(mult, length), length)
+        out = repair(parts, lambda R: R.len if R.len <= cap else None)
+        got = [R for R, _ in out]
+        assert sorted(x for R in got for x in R.elements()) == sorted(P.elements())
+        assert all(R.len <= cap and companion == R.len for R, companion in out)
+        assert [R.base for R in got] == sorted(R.base for R in got)
+
+    def test_refine_keeps_parts_whose_state_is_none(self):
+        calls = []
+
+        def halve(state, Q):
+            # the state counts the levels left; None once none are
+            calls.append((Q, state))
+            h = Q.len // 2
+            child = state - 1 or None
+            return [
+                (Progression(Q.base, Q.step, h), child),
+                (Progression(Q.base + h * Q.step, Q.step, Q.len - h), child),
+            ]
+
+        checked = []
+
+        def fits(Q):
+            checked.append(Q)
+            return Q.last < 6
+
+        P = Progression(0, 1, 8)
+        # depth 0: nothing to reduce, and P is kept whole unchecked
+        assert refine(P, None, fits, halve) == ([P], 0)
+        assert calls == checked == []
+        # depth 2: [0..3] fits early, [4..7] is halved, and its halves
+        # [4, 5] and [6, 7] are kept unchecked with nothing left to
+        # reduce; the merge then joins [0..3] and [4, 5]
+        parts, depth = refine(P, 2, fits, halve)
+        assert parts == [Progression(0, 1, 6), Progression(6, 1, 2)]
+        assert depth == 2
+        # parts that fit, or whose state is None, are never reduced
+        assert calls == [(P, 2), (Progression(4, 1, 4), 1)]
+        visited = [P, Progression(0, 1, 4), Progression(4, 1, 4)]
+        merged = [Progression(0, 1, 6), Progression(0, 1, 8)]
+        assert checked == visited + merged
 
 
 class TestCertificateType:
@@ -152,7 +172,3 @@ class TestCertificateType:
         assert c2.diam_witness == c.diam_witness
         assert c2.epsilon == c.epsilon
 
-
-def test_affine_map_call():
-    m = AffineMap(7, -2, 4)
-    assert [m(i) for i in range(4)] == [7, 5, 3, 1]
