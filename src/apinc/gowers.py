@@ -62,19 +62,15 @@ class DenseSet:
         bits[np.array(self.members, dtype=np.int64)] = True
         return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
-    def indicator(self, M=None):
-        """0/1 array over Z_M (window [1..N] embedded at its residues)."""
-        M = M or self.N + 1
-        a = np.zeros(M)
-        a[np.array(self.members, dtype=np.int64) % M] = 1.0
-        return a
-
     def to_json(self):
         return {"N": self.N, "members": list(self.members)}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["N"]), obj["members"])
+        N, members = _fields(obj, "N", "members")
+        if not _is_int(N) or not isinstance(members, list) or not all(map(_is_int, members)):
+            raise InvalidArgumentError("a set needs an integer N and a list of integer members")
+        return cls(N, members)
 
 
 class GroupFunction:
@@ -109,10 +105,29 @@ class GroupFunction:
 
     @classmethod
     def from_json(cls, obj):
-        vals = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        if len(vals) != int(obj["M"]):
-            raise InvalidArgumentError("length disagrees with declared modulus")
-        return cls(vals)
+        M, re, im = _fields(obj, "M", "re", "im")
+        if not _is_int(M) or not all(
+            isinstance(v, list) and len(v) == M and all(map(_is_real, v)) for v in (re, im)
+        ):
+            raise InvalidArgumentError(
+                "a function needs an integer M and lists re, im of M numbers each"
+            )
+        return cls(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+
+
+def _fields(obj, *keys):
+    """The values of `keys` in the JSON object obj."""
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise InvalidArgumentError(f"expected a JSON object with keys {', '.join(keys)}")
+    return [obj[k] for k in keys]
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

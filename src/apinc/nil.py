@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedManifoldError,
 )
 from .polyphase import PolyPhase, circ_dist, frac, lift, partition_polyphase
-from .progressions import PartitionCertificate, refine, repair
+from .progressions import PartitionCertificate, check_budget, refine, repair
 
 TWO_PI = 2.0 * math.pi
 
@@ -584,11 +584,13 @@ def reduce_dimension(Mf, g, F, P, eps):
 
     def build(R):
         F2 = F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
+        if R.len == 1:  # frozen at its only point: no deviation
+            return F2
         dev = max(
             abs(F.value(u) - F2.value(v))
             for u, v in zip(g.float_points(Mf, R), _phase_points(rest, R))
         )
-        return F2 if R.len == 1 or dev <= float(eps_f) + 2**-30 else None
+        return F2 if dev <= float(eps_f) + 2**-30 else None
 
     return [(R, succ, h, F2) for R, F2 in repair(cert.parts, build)]
 
@@ -603,11 +605,19 @@ def partition_nilsequence(Mf, g, F, P, eps):
     — telescopes below eps.  Parts whose true values already fit are
     emitted early, and adjacent parts are re-merged under the
     exhaustive check.
+
+    Cost model, checked against the work budget before anything is
+    built: one point costs c = 1 + sum_j (d_j + 1), the difference
+    levels of every coordinate phase plus F, and the recursion evaluates
+    it at most once per coordinate and once more for the witnesses, so
+    P costs len(P) * c^2.  That also covers the phase partition each
+    level runs on its pivot coordinate.
     """
     _check_compat(Mf, g, F)
     eps_f = lift(eps)
     if not 0 < eps_f <= Fraction(1, 2):
         raise PreconditionError("eps must lie in (0, 1/2]")
+    check_budget(P, (1 + sum(len(c.num) for c in g.coords)) ** 2)
     d0 = max(Mf.dim, 1)
     level_eps = eps_f / d0
     eps_val = float(eps_f)
@@ -622,7 +632,8 @@ def partition_nilsequence(Mf, g, F, P, eps):
         return [(R, live(*rest)) for R, *rest in reduce_dimension(*state, Q, level_eps)]
 
     parts, max_depth = refine(P, live(Mf, g, F), fits, reduce)
-    witnesses = [complex_diam(nil_values(Mf, g, F, p)) for p in parts]
+    # a single point has diameter 0 (complex_diam's own answer for it)
+    witnesses = [complex_diam(nil_values(Mf, g, F, p)) if p.len > 1 else 0.0 for p in parts]
     assert all(w <= eps_val + 2**-35 for w in witnesses)
     return PartitionCertificate(
         source=P,

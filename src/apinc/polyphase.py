@@ -33,7 +33,7 @@ from itertools import accumulate, islice
 from math import factorial, isfinite, isqrt, lcm
 
 from .errors import InvalidArgumentError, NoQFoundError, PreconditionError
-from .progressions import Progression, refine, repair, subdivide
+from .progressions import Progression, check_budget, refine, repair, subdivide
 
 HALF = Fraction(1, 2)
 # strictly below 6/pi^2, so the per-degree budgets sum to < epsilon
@@ -505,12 +505,14 @@ def _strip_leading(phi, Q, s, loc):
 
 def _companion(phi, s, dl, theta, R):
     """The degree < s companion psi of phi on R, or None when phi - psi
-    leaves a diameter above theta on R (length-1 parts always pass)."""
+    leaves a diameter above theta on R.  A length-1 part always passes,
+    with the constant phi(R.base) as its companion."""
+    if R.len == 1:
+        return PolyPhase._from_kernel(phi.den, [phi.residue(R.base)], "monomial", phi.exact)
     loc = _local_monomial(phi, R)
-    psi = _strip_leading(phi, R, s, loc)
     # phi - psi on R is the local tail sum_{i>=s} loc[i] t^i
-    if R.len == 1 or _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta):
-        return psi
+    if _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta):
+        return _strip_leading(phi, R, s, loc)
     return None
 
 
@@ -578,12 +580,19 @@ def partition_polyphase(phi, P, eps):
     companions stays below eps; a part is emitted early whenever the
     true phase already satisfies the target on it, and adjacent parts
     are greedily re-merged under the exhaustive check afterwards.
+
+    Cost model, checked against the work budget before anything is
+    built: a residue list over P walks d + 1 difference levels per point
+    (d the declared degree), and the recursion walks such lists once per
+    degree level and once more for the witnesses, so P costs
+    len(P) * (d + 1)^2.
     """
     from .progressions import PartitionCertificate
 
     eps_f = lift(eps)
     if not 0 < eps_f <= HALF:
         raise PreconditionError("eps must lie in (0, 1/2]")
+    check_budget(P, len(phi.num) ** 2)
     den = phi.den
 
     def diam_num(Q):
@@ -592,11 +601,14 @@ def partition_polyphase(phi, P, eps):
     def fits(Q):
         return diam_num(Q) * eps_f.denominator <= eps_f.numerator * den
 
+    # the budget of degree s; every companion has a lower degree than its phase
+    theta = [eps_f * BUDGET_WEIGHT / s**2 for s in range(1, phi.degree + 1)]
+
     def reduce(phase, Q):
         s = phase.degree
         if s == 0:  # constant mod 1: Q is kept whole
             return [(Q, None)]
-        return reduce_degree_partition(phase, Q, eps_f * BUDGET_WEIGHT / s**2)
+        return reduce_degree_partition(phase, Q, theta[s - 1])
 
     parts, _ = refine(P, phi, fits, reduce)
     witnesses = [diam_num(p) for p in parts]

@@ -9,7 +9,8 @@ not be checkable by external tools, so we reject it up front.
 
 from dataclasses import dataclass, field
 
-from .errors import IntegerRangeError, InvalidArgumentError
+from .errors import BudgetExceededError, IntegerRangeError, InvalidArgumentError
+from .oracle import work_budget
 
 INT_BOUND = 2**63
 
@@ -196,6 +197,18 @@ def repair(parts, build):
             stack.append(Progression(R.base, R.step, h))
     out.sort(key=lambda t: t[0].base)
     return out
+
+
+def check_budget(P, per_point):
+    """Refuse to partition P, before any list over it is built, when its
+    modelled cost len(P) * per_point exceeds the work budget
+    (APINC_BUDGET, default 10^9)."""
+    cost = P.len * per_point
+    budget = work_budget()
+    if cost > budget:
+        raise BudgetExceededError(
+            f"partition of {P.len} points needs {cost} work units > budget {budget}"
+        )
 
 
 def refine(P, root, fits, reduce):

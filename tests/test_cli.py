@@ -73,6 +73,22 @@ class TestCount:
         assert json.loads(err)["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["count", "--k", "3", "--set"], {"N": 5, "members": [1, 2.5]}),
+        (["count", "--k", "3", "--set"], [1, 2]),
+        (["gowers", "--k", "2", "--fn"], {"M": 4, "re": [1, 0], "im": [0, 0, 0, 0]}),
+        (["gowers", "--k", "2", "--fn"], {"M": 4, "re": [1, 0, "a", 0], "im": [0, 0, 0, 0]}),
+    ],
+    ids=["set-float-member", "set-not-object", "fn-short-re", "fn-string-value"],
+)
+def test_malformed_file_structured_error(tmp_path, capsys, argv, obj):
+    code, out, err = run(capsys, *argv, write_json(tmp_path / "in.json", obj))
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "invalid-argument"
+
+
 class TestGowers:
     def test_methods_agree(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -188,6 +204,20 @@ class TestPartitionAndVerify:
             assert payload["error"] == error
         assert payload["message"]
 
+    # refused before any list over the range is built
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition-phase", "--phase", "0.5 n"],
+            ["partition-nil", "--manifold", "torus:1", "--seq", "0.5 n", "--fn", "e(x)"],
+        ],
+        ids=["phase", "nil"],
+    )
+    def test_range_over_budget(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--range", "1..9223372036854775807", "--eps", "0.1")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "budget-exceeded"
+
     def test_byte_stable_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -225,8 +255,14 @@ class TestPartitionAndVerify:
                  "--fn", "e(x)*cutoff", "--range", "1..3000", "--eps", "0.2"],
                 "01cff2ad97c6af5d20e6da4ceeab7d8fab153865eb073c9dfe3ff7402f6da271",
             ),
+            (
+                ["partition-phase",
+                 "--phase", "3/7 n + 1/1000 C(n,2) + 0.0000123 C(n,3)",
+                 "--range", "1..4000", "--eps", "0.1"],
+                "954bf7023b3c68b70f6b72e6c5f9195c20ec4162c4b8d464d194d1dd7344a920",
+            ),
         ],
-        ids=["phase-2000", "heisenberg-500", "heisenberg-5000", "torus2-3000"],
+        ids=["phase-2000", "heisenberg-500", "heisenberg-5000", "torus2-3000", "phase-cubic-4000"],
     )
     def test_golden_digest(self, tmp_path, capsys, argv, digest):
         path = tmp_path / "cert.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apinc.errors import (
+    BudgetExceededError,
     InvalidArgumentError,
     PreconditionError,
     UnsupportedManifoldError,
@@ -31,6 +32,7 @@ from apinc.nil import (
     partition_nilsequence,
     reduce_dimension,
 )
+from apinc import nil
 from apinc.oracle import verify_certificate
 from apinc.polyphase import PolyPhase
 from apinc.progressions import Progression
@@ -410,6 +412,44 @@ class TestPartitionNilsequence:
         fine = partition_nilsequence(Mf, g, F, P, 0.15).num_parts
         coarse = partition_nilsequence(Mf, g, F, P, 0.45).num_parts
         assert coarse <= fine
+
+    def test_singletons_skip_the_witness_scan(self, monkeypatch):
+        # values (nil_values) and the frozen coordinates of the deviation
+        # check (_phase_points, on Heisenberg) are computed only on parts
+        # of two or more points; a single point's witness is 0.0
+        lengths = []
+
+        def spy(name):
+            real = getattr(nil, name)
+
+            def wrapper(*args):
+                lengths.append(args[-1].len)
+                return real(*args)
+
+            monkeypatch.setattr(nil, name, wrapper)
+
+        spy("nil_values")
+        spy("_phase_points")
+        g = PolySequence(
+            [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()]
+        )
+        cert = partition_nilsequence(
+            Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"),
+            Progression(1, 1, 500), 0.1,
+        )
+        singles = [w for p, w in zip(cert.parts, cert.diam_witness) if p.len == 1]
+        assert singles and all(w == 0.0 for w in singles)
+        assert lengths and min(lengths) >= 2
+
+    def test_budget(self, monkeypatch):
+        # torus:1, a linear coordinate, 100 points: 100 * (1 + 2)^2 work units
+        args = (Nilmanifold.torus(1), PolySequence.torus_linear([SQRT2]),
+                lipschitz_catalog("e(x)"), Progression(1, 1, 100), 0.1)
+        monkeypatch.setenv("APINC_BUDGET", "900")
+        assert partition_nilsequence(*args).num_parts >= 1
+        monkeypatch.setenv("APINC_BUDGET", "899")
+        with pytest.raises(BudgetExceededError):
+            partition_nilsequence(*args)
 
     def test_function_on_unavailable_coordinate(self):
         Mf = Nilmanifold.heisenberg()

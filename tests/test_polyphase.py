@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apinc.errors import NoQFoundError, PreconditionError
+from apinc.errors import BudgetExceededError, NoQFoundError, PreconditionError
 from apinc.oracle import brute_diam, verify_certificate
 from apinc.polyphase import (
     PolyPhase,
@@ -236,6 +236,17 @@ class TestReduceDegree:
         assert sorted(covered) == sorted(P.elements())
 
 
+    def test_singleton_companion_is_the_point_value(self):
+        # a length-1 part gets the constant phi(base), not a stripped phase
+        phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
+        out = reduce_degree_partition(phi, Progression(1, 1, 200), Fraction(1, 100))
+        singles = [(R, psi) for R, psi in out if R.len == 1]
+        assert singles
+        for R, psi in singles:
+            assert psi.degree == 0
+            assert psi.eval(R.base) == phi.eval(R.base)
+
+
 def brute_diam_phase(phi, part):
     return circle_diam([phi.eval(n) for n in part.elements()])
 
@@ -289,6 +300,16 @@ class TestPartition:
     def test_rejects_bad_eps(self):
         with pytest.raises(PreconditionError):
             partition_polyphase(PolyPhase.zero(), Progression(1, 1, 10), 0.9)
+
+    def test_budget(self, monkeypatch):
+        # degree 2 on 100 points: 100 * 3^2 work units
+        phi = PolyPhase.binomial([0, Fraction(1, 7), Fraction(3, 11)])
+        P = Progression(1, 1, 100)
+        monkeypatch.setenv("APINC_BUDGET", "900")
+        assert partition_polyphase(phi, P, 0.1).num_parts >= 1
+        monkeypatch.setenv("APINC_BUDGET", "899")
+        with pytest.raises(BudgetExceededError):
+            partition_polyphase(phi, P, 0.1)
 
 
 def test_oracle_brute_diam_agrees():
