@@ -24,7 +24,6 @@ from .errors import (
     CertificateError,
     IntegerRangeError,
     InvalidArgumentError,
-    NoQFoundError,
     PreconditionError,
     UnsupportedManifoldError,
 )
@@ -41,11 +40,9 @@ from .gowers import (
     von_neumann_check,
 )
 from .nil import (
-    HorizontalCharacter,
     LipschitzFunction,
     Nilmanifold,
     PolySequence,
-    factorize_polyseq,
     lipschitz_catalog,
     nil_eval,
     partition_nilsequence,
@@ -56,9 +53,6 @@ from .polyphase import (
     compose_affine,
     diam_on,
     partition_polyphase,
-    rationalize_phase,
-    smoothness_norm,
-    weyl_min,
 )
 from .progressions import PartitionCertificate, Progression, subdivide
 
@@ -71,7 +65,6 @@ __all__ = [
     "CertificateError",
     "DenseSet",
     "GroupFunction",
-    "HorizontalCharacter",
     "Incremented",
     "Inconclusive",
     "IntegerRangeError",
@@ -79,7 +72,6 @@ __all__ = [
     "InverseWitness",
     "LipschitzFunction",
     "Nilmanifold",
-    "NoQFoundError",
     "PartitionCertificate",
     "PolyPhase",
     "PolySequence",
@@ -94,7 +86,6 @@ __all__ = [
     "compose_affine",
     "density_increment_step",
     "diam_on",
-    "factorize_polyseq",
     "find_ap",
     "gowers_norm",
     "inverse_u2",
@@ -104,11 +95,8 @@ __all__ = [
     "nil_eval",
     "partition_nilsequence",
     "partition_polyphase",
-    "rationalize_phase",
-    "smoothness_norm",
     "subdivide",
     "szemeredi_search",
     "verify_certificate",
     "von_neumann_check",
-    "weyl_min",
 ]

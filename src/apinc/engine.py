@@ -142,35 +142,18 @@ def find_ap(A, k):
 # The increment step
 
 
-def _witness_partition(witness, N, delta_eff, target=None):
-    """Partition [1..N] so the witness values are nearly constant per
-    part.  For phase witnesses `target` is the phase-diameter goal; the
-    caller starts at delta_eff/2 and refines toward delta_eff/(4 pi),
-    at which point the value diameter is provably <= delta_eff/2."""
+def _witness_partition(witness, N, target):
+    """Partition [1..N] so the witness phase moves by at most `target`
+    on each part; the caller starts at delta_eff/2 and refines toward
+    delta_eff/(4 pi), at which point the value diameter is provably
+    <= delta_eff/2."""
     if witness.kind == "fourier":
-        M = witness.params["M"]
-        phi = PolyPhase.monomial([0, Fraction(witness.params["r"], M)])
-        return partition_polyphase(phi, Progression(1, 1, N), target)
-    if witness.kind == "polyphase":
+        phi = PolyPhase.monomial([0, Fraction(witness.params["r"], witness.params["M"])])
+    elif witness.kind == "polyphase":
         phi = PolyPhase.from_json(witness.params["phase"])
-        return partition_polyphase(phi, Progression(1, 1, N), target)
-    if witness.kind == "nilsequence":
-        from .nil import (
-            LipschitzFunction,
-            Nilmanifold,
-            PolySequence,
-            partition_nilsequence,
-        )
-
-        p = witness.params
-        return partition_nilsequence(
-            Nilmanifold.from_json(p["manifold"]),
-            PolySequence.from_json(p["sequence"]),
-            LipschitzFunction.from_json(p["function"]),
-            Progression(1, 1, N),
-            min(delta_eff / 2, 0.5),
-        )
-    raise InvalidArgumentError(f"unknown witness kind {witness.kind!r}")
+    else:
+        raise InvalidArgumentError(f"unknown witness kind {witness.kind!r}")
+    return partition_polyphase(phi, Progression(1, 1, N), target)
 
 
 def increment_from_witness(A, witness, k, floor_n0=2):
@@ -213,12 +196,12 @@ def increment_from_witness(A, witness, k, floor_n0=2):
     target = min(delta_eff / 2, Fraction(1, 2))
     need = alpha + delta_eff / 4 - SLACK
     while True:
-        cert = _witness_partition(witness, N, float(delta_eff), target=target)
+        cert = _witness_partition(witness, N, target)
         long_best = select(cert, min_len)
         if long_best is not None and alpha + long_best[0] >= need:
             ratio, part, hits = long_best
             break
-        if witness.kind == "nilsequence" or target <= floor_target:
+        if target <= floor_target:
             ratio, part, hits = select(cert, 1)
             break
         target = max(target / 2, floor_target)

@@ -26,10 +26,6 @@ class BudgetExceededError(ApincError):
     code = "budget-exceeded"
 
 
-class NoQFoundError(ApincError):
-    code = "no-q-found"
-
-
 class UnsupportedManifoldError(ApincError):
     code = "unsupported-manifold"
 

@@ -134,7 +134,7 @@ def _is_real(x):
 class InverseWitness:
     """A structured function correlating with f: |E_n f(n) conj(w(n))| = delta."""
 
-    kind: str  # "fourier" | "polyphase" | "nilsequence"
+    kind: str  # "fourier" | "polyphase"
     params: dict
     correlation: float
 

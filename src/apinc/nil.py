@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
-    NoQFoundError,
     PreconditionError,
     UnsupportedManifoldError,
 )
@@ -89,16 +88,6 @@ class Nilmanifold:
         if obj["kind"] == "heisenberg":
             return cls.heisenberg()
         raise UnsupportedManifoldError(f"unknown manifold kind {obj['kind']!r}")
-
-
-def heisenberg_mul(a, b):
-    """(x,y,z)*(x',y',z') in exact coordinates."""
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-
-
-def heisenberg_inv(a):
-    x, y, z = a
-    return (-x, -y, -z + x * y)
 
 
 def heisenberg_reduce(x, y, z):
@@ -171,37 +160,6 @@ class PolySequence:
     @classmethod
     def from_json(cls, obj):
         return cls([PolyPhase.from_json(c) for c in obj["coords"]])
-
-
-@dataclass(frozen=True)
-class HorizontalCharacter:
-    """Integer vector k acting on the abelianization: torus —
-    eta(x) = k . x mod 1; Heisenberg — eta(x,y,z) = k1 x + k2 y mod 1."""
-
-    k: tuple
-
-    def __init__(self, k):
-        object.__setattr__(self, "k", tuple(int(v) for v in k))
-
-    @property
-    def nontrivial(self):
-        return any(self.k)
-
-    @property
-    def lipschitz(self):
-        return float(sum(abs(v) for v in self.k))
-
-
-def horizontal_apply(eta, g):
-    """The phase eta(g(n)) as a PolyPhase."""
-    ks = eta.k
-    if len(ks) != len(g.coords) and not (len(ks) == 2 and len(g.coords) == 3):
-        raise InvalidArgumentError("character/sequence dimension mismatch")
-    acc = PolyPhase.zero()
-    for kv, c in zip(ks, g.coords):
-        if kv:
-            acc = acc + c.scale(kv)
-    return acc
 
 
 # ---------------------------------------------------------------------
@@ -396,153 +354,6 @@ def complex_diam(vals):
     for i in range(len(vals) - 1):
         best = max(best, float(np.max(np.abs(vals[i + 1 :] - vals[i]))))
     return best
-
-
-# ---------------------------------------------------------------------
-# Factorisation g = beta * g' * gamma
-
-
-@dataclass(frozen=True)
-class Factorization:
-    beta: PolySequence
-    gprime: PolySequence
-    gamma: PolySequence
-    subgroup: Nilmanifold
-    q: int
-    pivot: int
-    smooth_constant: float
-
-
-def _rational_period(phi, Qmax):
-    """Smallest T >= 1 with phi(t+T) - phi(t) integer-valued, if any."""
-    for T in range(1, Qmax + 1):
-        diff = phi.compose_affine_frac(1, T) - phi
-        if all(p % diff.den == 0 for p in diff.num):
-            return T
-    return None
-
-
-def factorize_polyseq(Mf, g, P, eta, Qmax=64):
-    """Factor g = beta * g' * gamma on P (rescaled to t in [1..N]):
-    gamma rational of period q <= Qmax, g' confined to a coordinate
-    subgroup of dimension dim - 1, beta a small smooth drift.
-
-    Requires diam_P(eta o g) <= 1/10 and eta supported on a single
-    coordinate of the abelianization (the cases the dimension reduction
-    ever produces); other characters are reported unsupported rather
-    than silently mishandled.
-    """
-    if Mf.kind not in ("torus", "heisenberg"):
-        raise UnsupportedManifoldError(f"unknown manifold kind {Mf.kind!r}")
-    _ = g.point(Mf, 0)  # dimension sanity
-    support = [i for i, kv in enumerate(eta.k) if kv]
-    if len(support) != 1:
-        raise UnsupportedManifoldError(
-            "factorisation implemented for single-coordinate characters"
-        )
-    pivot = support[0]
-    kp = eta.k[pivot]
-    N = P.len
-
-    phi = horizontal_apply(eta, g)
-    # local coordinates: t in [1..N] <-> elements of P
-    phi_loc = phi.compose_affine_frac(P.step, P.base - P.step)
-
-    from .polyphase import signed_rep, smoothness_norm
-
-    # entry condition: some q <= Qmax makes q*phi smooth on [N], i.e.
-    # phi is a small drift away from a denominator-q rational phase
-    # (diam_P(phi) <= 1/10 is the q = 1 special case)
-    q, drift = 1, None
-    for cand in range(1, Qmax + 1):
-        v = smoothness_norm(phi_loc.scale(cand), N) / cand
-        if drift is None or v < drift:
-            q, drift = cand, v
-    if drift > Fraction(1, 10):
-        raise PreconditionError(
-            f"no q <= {Qmax} leaves drift {float(drift):.6f} <= 1/10; restrict P first"
-        )
-
-    alphas = phi_loc.binomial_coeffs()
-    sigma = [Fraction(0)]
-    epsv = [alphas[0]]  # constant goes with the smooth part
-    for a in alphas[1:]:
-        near = Fraction(round(q * a), q)
-        sigma.append(frac(near))
-        epsv.append(signed_rep(a - near))
-    sig_phase = PolyPhase(sigma, basis="binomial", exact=True)
-    eps_phase = PolyPhase(epsv, basis="binomial", exact=g.coords[pivot].exact)
-
-    b_poly = eps_phase.scale(Fraction(1, kp))  # beta pivot coordinate
-    c_poly = sig_phase.scale(Fraction(1, kp))  # gamma pivot coordinate
-
-    period = _rational_period(c_poly, Qmax)
-    if period is None:
-        raise NoQFoundError(f"gamma has no period <= {Qmax}")
-
-    zero = PolyPhase.zero()
-    g_loc = g.compose_affine(P.step, P.base - P.step)
-
-    if Mf.kind == "torus":
-        beta = PolySequence(
-            [b_poly if i == pivot else zero for i in range(Mf.dim)]
-        )
-        gamma = PolySequence(
-            [c_poly if i == pivot else zero for i in range(Mf.dim)]
-        )
-        gp = [
-            (g_loc.coords[i] - b_poly - c_poly) if i == pivot else g_loc.coords[i]
-            for i in range(Mf.dim)
-        ]
-        gprime = PolySequence(gp)
-        subgroup = Nilmanifold.torus(Mf.dim - 1)
-    else:
-        x, y, z = g_loc.coords
-        if pivot == 0:
-            beta = PolySequence([b_poly, zero, zero])
-            gamma = PolySequence([c_poly, zero, zero])
-            # (b,0,0)*(0,y,z')*(c,0,0) = (b+c, y, z'+b*y): kill z' drift
-            gprime = PolySequence([x - b_poly - c_poly, y, z - _poly_prod(b_poly, y)])
-        else:
-            beta = PolySequence([zero, b_poly, zero])
-            gamma = PolySequence([zero, c_poly, zero])
-            # (0,b,0)*(x,0,z')*(0,c,0) = (x, b+c, z'+x*c)
-            gprime = PolySequence([x, y - b_poly - c_poly, z - _poly_prod(x, c_poly)])
-        subgroup = Nilmanifold.torus(2)
-
-    # measured smoothness constant of beta on deterministic pairs
-    C = 0.0
-    samples = sorted({1, N, max(1, N // 3), max(1, 2 * N // 3), max(1, N // 2)})
-    for i, t1 in enumerate(samples):
-        for t2 in samples[i + 1 :]:
-            dd = float(circ_dist(b_poly.eval_real(t1), b_poly.eval_real(t2)))
-            C = max(C, dd * N / abs(t2 - t1))
-    return Factorization(beta, gprime, gamma, subgroup, period, pivot, C)
-
-
-def _poly_prod(p, q):
-    """Product of two polynomials given as PolyPhase coefficient holders."""
-    a = p.monomial_coeffs()
-    b = q.monomial_coeffs()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return PolyPhase(out, basis="monomial", exact=p.exact and q.exact)
-
-
-def factorization_product(Mf, fac, t):
-    """Coordinates of beta(t)*g'(t)*gamma(t) (exact), for identity checks."""
-    if Mf.kind == "torus":
-        return tuple(
-            b.eval_real(t) + g.eval_real(t) + c.eval_real(t)
-            for b, g, c in zip(fac.beta.coords, fac.gprime.coords, fac.gamma.coords)
-        )
-    bt = tuple(c.eval_real(t) for c in fac.beta.coords)
-    gt = tuple(c.eval_real(t) for c in fac.gprime.coords)
-    ct = tuple(c.eval_real(t) for c in fac.gamma.coords)
-    return heisenberg_mul(heisenberg_mul(bt, gt), ct)
 
 
 # ---------------------------------------------------------------------

@@ -97,6 +97,8 @@ def max_ap_free(N, k=3):
 
 def brute_gowers(f, k, budget=None):
     """U^k norm via the 2^k-fold cube sum, no FFT, no recursion."""
+    if k < 1:
+        raise InvalidArgumentError("k must be >= 1")
     values = np.asarray(f.values if hasattr(f, "values") else f, dtype=complex)
     M = len(values)
     budget = budget or work_budget()
@@ -266,7 +268,9 @@ def verify_certificate(cert, budget=None):
 
     Checks disjointness, exact coverage of the source, the minimum part
     length, and recomputes every diameter witness with the independent
-    channel evaluator.  Raises CertificateError with a machine-readable
+    channel evaluator, after charging a nilsequence certificate's pairwise
+    scans (L(L-1)/2 per part of length L) against the work budget.
+    Raises CertificateError with a machine-readable
     reason on the first violation ("malformed-certificate" when a field
     it reads is missing, unreadable or not finite); returns a report
     dict on success.
@@ -325,6 +329,13 @@ def verify_certificate(cert, budget=None):
         if p.len < min_len:
             raise CertificateError(
                 "min-len-violated", f"part {pi} has length {p.len} < {min_len}"
+            )
+
+    if channel == "nilsequence":  # brute_diam scans every pair of a part
+        pairs = sum(p.len * (p.len - 1) // 2 for p in parts)
+        if pairs > budget:
+            raise BudgetExceededError(
+                f"nilsequence diameters need {pairs} pairs, over the budget {budget}"
             )
 
     witnesses = []

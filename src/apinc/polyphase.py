@@ -21,19 +21,15 @@ integer additions per point.  Fractions appear only at the interface:
 the coefficients a phase was entered with (binomial, phi(n) =
 sum a_j C(n,j), or monomial, phi(n) = sum t_j n^j), `eval`, and the
 diameters handed back.
-
-The smoothness norm is sup_{1<=j} N^j ||a_j|| over binomial
-coefficients.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice
 from math import factorial, isfinite, isqrt, lcm
 
-from .errors import InvalidArgumentError, NoQFoundError, PreconditionError
-from .progressions import Progression, check_budget, refine, repair, subdivide
+from .errors import InvalidArgumentError, PreconditionError
+from .progressions import check_budget, refine, repair, subdivide
 
 HALF = Fraction(1, 2)
 # strictly below 6/pi^2, so the per-degree budgets sum to < epsilon
@@ -69,12 +65,6 @@ def circ_norm(x):
     """Distance ||x|| from x to the nearest integer, in [0, 1/2]."""
     f = frac(x)
     return f if f <= HALF else 1 - f
-
-
-def signed_rep(x):
-    """Representative of x mod 1 in (-1/2, 1/2]."""
-    f = frac(x)
-    return f if f <= HALF else f - 1
 
 
 def circ_dist(x, y):
@@ -256,9 +246,6 @@ class PolyPhase:
             self._coeffs = tuple(Fraction(p, q) for p in ps)
         return self._coeffs
 
-    def monomial_coeffs(self):
-        return list(self.in_basis("monomial").coeffs)
-
     def binomial_coeffs(self):
         return list(self.in_basis("binomial").coeffs)
 
@@ -315,12 +302,6 @@ class PolyPhase:
         return Fraction(_eval_num(self.num, n), self.den)
 
     # -- arithmetic ----------------------------------------------------
-
-    def scale(self, q):
-        q = lift(q)
-        return PolyPhase._from_kernel(
-            self.den * q.denominator, [p * q.numerator for p in self.num], self.basis, self.exact
-        )
 
     def _binop(self, other, sign):
         den = lcm(self.den, other.den)
@@ -396,82 +377,6 @@ def diam_on(phi, P):
         raise InvalidArgumentError("progression must be nonempty")
     d = Fraction(_diam_num(phi.residues(P), phi.den), phi.den)
     return d if phi.exact else float(d)
-
-
-# ---------------------------------------------------------------------
-# Weyl minimisation
-
-
-@dataclass(frozen=True)
-class WeylWitness:
-    n: int
-    value: object  # Fraction or float, = ||alpha * n^s||
-    search_bound: int
-
-
-def weyl_min(alpha, s, N):
-    """Exhaustive minimiser of ||alpha n^s|| over 1 <= n <= floor(sqrt(N)).
-
-    Ties go to the smallest n.
-    """
-    if s < 1:
-        raise InvalidArgumentError("s must be a positive integer")
-    if N < 1:
-        raise InvalidArgumentError("N must be positive")
-    a = lift(alpha)
-    p, q = a.numerator, a.denominator
-    bound = max(1, isqrt(N))
-    best_n, best_v = 1, q
-    for n in range(1, bound + 1):
-        r = p * n**s % q
-        v = min(r, q - r)
-        if v < best_v:
-            best_n, best_v = n, v
-    value = Fraction(best_v, q)
-    if not isinstance(alpha, (Fraction, int)):
-        value = float(value)
-    return WeylWitness(n=best_n, value=value, search_bound=bound)
-
-
-# ---------------------------------------------------------------------
-# Smoothness norm and almost-rationality
-
-
-def smoothness_norm(phi, N):
-    """sup over 1 <= j of N^j ||a_j|| in the binomial basis."""
-    if N < 1:
-        raise InvalidArgumentError("N must be positive")
-    den = phi.den
-    best = 0
-    for j, p in enumerate(phi.num[1:], start=1):
-        r = p % den
-        best = max(best, N**j * min(r, den - r))
-    best = Fraction(best, den)
-    return best if phi.exact else float(best)
-
-
-def rationalize_phase(phi, N, Qmax, ceiling=None):
-    """Smallest q <= Qmax minimising the smoothness norm of q*phi on [N].
-
-    Requires diam_{[1..N]}(phi) <= 1/10 (the almost-constancy that makes
-    near-rational coefficients possible at all).  If `ceiling` is given
-    and even the best q exceeds it, reports no-q-found.
-    """
-    if Qmax < 1:
-        raise InvalidArgumentError("Qmax must be positive")
-    d = diam_on(phi, Progression(1, 1, N))
-    if d > Fraction(1, 10):
-        raise PreconditionError(f"diam over [1..{N}] is {float(d):.6f} > 1/10")
-    best_q, best_norm = 1, smoothness_norm(phi, N)
-    for q in range(2, Qmax + 1):
-        v = smoothness_norm(phi.scale(q), N)
-        if v < best_norm:
-            best_q, best_norm = q, v
-    if ceiling is not None and best_norm > lift(ceiling):
-        raise NoQFoundError(
-            f"no q <= {Qmax} brings the smoothness norm under {ceiling}"
-        )
-    return best_q, best_norm
 
 
 # ---------------------------------------------------------------------

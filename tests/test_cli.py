@@ -107,6 +107,15 @@ class TestGowers:
         assert json.loads(err)["error"] == "budget-exceeded"
 
 
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_refused(self, tmp_path, capsys, k, method):
+        p = write_json(tmp_path / "f.json", GroupFunction(np.ones(4)).to_json())
+        code, out, err = run(capsys, "gowers", "--fn", p, "--k", k, "--method", method)
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "invalid-argument"
+
+
 class TestPartitionAndVerify:
     def test_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "cert.json"
@@ -153,6 +162,22 @@ class TestPartitionAndVerify:
         assert stats["max_diam"] <= 0.25
         code, out, _ = run(capsys, "verify", "--cert", str(out_path))
         assert code == 0 and json.loads(out)["channel"] == "nilsequence"
+
+    def test_verify_nil_over_budget(self, tmp_path, capsys, monkeypatch):
+        # one part of 100 points: the verifier's pairwise scan costs 4950 pairs
+        out_path = tmp_path / "cert.json"
+        code, _, _ = run(
+            capsys, "partition-nil", "--manifold", "torus:1", "--seq", "1/3 n",
+            "--fn", "const", "--range", "1..100", "--eps", "0.1", "--out", str(out_path),
+        )
+        assert code == 0
+        monkeypatch.setenv("APINC_BUDGET", "4950")
+        code, out, _ = run(capsys, "verify", "--cert", str(out_path))
+        assert code == 0 and json.loads(out)["ok"]
+        monkeypatch.setenv("APINC_BUDGET", "4949")
+        code, out, err = run(capsys, "verify", "--cert", str(out_path))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "budget-exceeded"
 
     def test_unknown_manifold(self, capsys):
         code, _, err = run(

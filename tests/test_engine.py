@@ -222,9 +222,12 @@ class TestIncrementFromWitness:
         assert isinstance(out, Inconclusive)
         assert out.reason in ("length-floor", "increment-shortfall")
 
-    def test_unknown_witness_kind(self):
+    @pytest.mark.parametrize("kind", ["mystery", "nilsequence"])
+    def test_unknown_witness_kind(self, kind):
+        # the engine partitions phase witnesses only; no oracle emits a
+        # nilsequence witness
         A = DenseSet(16, [1, 2])
-        w = InverseWitness(kind="mystery", params={}, correlation=0.5)
+        w = InverseWitness(kind=kind, params={}, correlation=0.5)
         with pytest.raises(InvalidArgumentError):
             increment_from_witness(A, w, 3)
 

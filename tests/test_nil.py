@@ -10,22 +10,15 @@ from hypothesis import strategies as st
 from apinc.errors import (
     BudgetExceededError,
     InvalidArgumentError,
-    PreconditionError,
     UnsupportedManifoldError,
 )
 from apinc.nil import (
     Factor,
-    HorizontalCharacter,
     LipschitzFunction,
     Nilmanifold,
     PolySequence,
     complex_diam,
-    factorization_product,
-    factorize_polyseq,
-    heisenberg_inv,
-    heisenberg_mul,
     heisenberg_reduce,
-    horizontal_apply,
     lipschitz_catalog,
     nil_eval,
     nil_values,
@@ -43,30 +36,18 @@ SQRT3 = math.sqrt(3)
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=32)
 
 
+def group_law(a, b):
+    """(x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y') in the Heisenberg group."""
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+
+
 class TestGroupLaw:
-    def test_heisenberg_mul(self):
-        a = (Fraction(1, 2), Fraction(1, 3), Fraction(0))
-        b = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 5))
-        x, y, z = heisenberg_mul(a, b)
-        assert (x, y) == (Fraction(3, 4), Fraction(5, 6))
-        assert z == Fraction(1, 5) + Fraction(1, 2) * Fraction(1, 2)
-
-    @given(
-        coords=st.tuples(*[rationals] * 6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_inverse(self, coords):
-        a, b = coords[:3], coords[3:]
-        assert heisenberg_mul(a, heisenberg_inv(a)) == (0, 0, 0)
-        # associativity with the inverse: (ab)b^{-1} = a
-        assert heisenberg_mul(heisenberg_mul(a, b), heisenberg_inv(b)) == a
-
     @given(coords=st.tuples(*[rationals] * 3), lat=st.tuples(*[st.integers(-3, 3)] * 3))
     @settings(max_examples=150, deadline=None)
     def test_reduce_is_orbit_invariant(self, coords, lat):
         # right multiplication by a lattice element leaves the reduced
         # representative unchanged
-        moved = heisenberg_mul(coords, lat)
+        moved = group_law(coords, lat)
         assert heisenberg_reduce(*moved) == heisenberg_reduce(*coords)
 
     def test_reduce_in_box(self):
@@ -167,32 +148,6 @@ class TestSequencesAndEval:
             PolySequence([PolyPhase.zero()]).point(Nilmanifold.torus(2), 1)
 
 
-class TestHorizontal:
-    def test_linear_combination(self):
-        g = PolySequence.torus_linear([Fraction(1, 3), Fraction(1, 5)])
-        eta = HorizontalCharacter((2, -1))
-        phi = horizontal_apply(eta, g)
-        for n in range(10):
-            expect = Fraction(2 * n, 3) - Fraction(n, 5)
-            assert phi.eval(n) == expect - math.floor(expect)
-
-    def test_heisenberg_ignores_z(self):
-        g = PolySequence(
-            [
-                PolyPhase.monomial([0, Fraction(1, 4)]),
-                PolyPhase.monomial([0, Fraction(1, 6)]),
-                PolyPhase.monomial([0, 0, Fraction(1, 2)]),
-            ]
-        )
-        phi = horizontal_apply(HorizontalCharacter((1, 2)), g)
-        for n in range(8):
-            val = Fraction(n, 4) + 2 * Fraction(n, 6)
-            assert phi.eval(n) == val - math.floor(val)
-
-    def test_lipschitz(self):
-        assert HorizontalCharacter((2, -3)).lipschitz == 5.0
-
-
 class TestLipschitzFunctions:
     def test_catalog_names(self):
         for name in ("const", "e(x)", "e(y)", "e(z)", "re-e(x)", "im-e(y)",
@@ -269,79 +224,6 @@ class TestComplexDiam:
     def test_collinear_cloud(self):
         vals = np.linspace(-3, 7, 2000) * (1 + 1j) / math.sqrt(2)
         assert abs(complex_diam(vals) - 10.0) < 1e-9
-
-
-class TestFactorization:
-    def _check_identity(self, Mf, g, P, eta, fac):
-        g_loc = g.compose_affine(P.step, P.base - P.step)
-        tol = Fraction(1, 2**35)
-        for t in range(1, min(P.len, 40) + 1):
-            want = tuple(c.eval_real(t) for c in g_loc.coords)
-            got = factorization_product(Mf, fac, t)
-            assert all(abs(a - b) <= tol for a, b in zip(want, got))
-
-    def test_torus_near_rational(self):
-        # alpha = 1/3 + tiny drift: q = 3, smooth remainder
-        Mf = Nilmanifold.torus(1)
-        alpha = Fraction(1, 3) + Fraction(1, 10**6)
-        g = PolySequence.torus_linear([alpha])
-        P = Progression(1, 1, 100)
-        eta = HorizontalCharacter((1,))
-        fac = factorize_polyseq(Mf, g, P, eta)
-        assert fac.q == 3
-        assert fac.subgroup.dim == 0
-        self._check_identity(Mf, g, P, eta, fac)
-
-    def test_torus_smooth_only(self):
-        Mf = Nilmanifold.torus(2)
-        g = PolySequence.torus_linear([Fraction(1, 2000), Fraction(1, 7)])
-        P = Progression(1, 1, 100)
-        eta = HorizontalCharacter((1, 0))
-        fac = factorize_polyseq(Mf, g, P, eta)
-        assert fac.pivot == 0
-        assert fac.subgroup.dim == 1
-        self._check_identity(Mf, g, P, eta, fac)
-
-    def test_heisenberg_pivot_x(self):
-        Mf = Nilmanifold.heisenberg()
-        g = PolySequence(
-            [
-                PolyPhase.monomial([0, Fraction(1, 4) + Fraction(1, 10**5)]),
-                PolyPhase.monomial([0, Fraction(2, 7)]),
-                PolyPhase.zero(),
-            ]
-        )
-        P = Progression(1, 1, 60)
-        eta = HorizontalCharacter((1, 0))
-        fac = factorize_polyseq(Mf, g, P, eta)
-        assert fac.q == 4
-        self._check_identity(Mf, g, P, eta, fac)
-
-    def test_heisenberg_pivot_y(self):
-        Mf = Nilmanifold.heisenberg()
-        g = PolySequence(
-            [
-                PolyPhase.monomial([0, Fraction(2, 7)]),
-                PolyPhase.monomial([0, Fraction(1, 6) + Fraction(1, 10**5)]),
-                PolyPhase.monomial([0, 0, Fraction(1, 3)]),
-            ]
-        )
-        P = Progression(1, 1, 60)
-        eta = HorizontalCharacter((0, 1))
-        fac = factorize_polyseq(Mf, g, P, eta)
-        self._check_identity(Mf, g, P, eta, fac)
-
-    def test_rejects_wild_phase(self):
-        Mf = Nilmanifold.torus(1)
-        g = PolySequence.torus_linear([SQRT2])
-        with pytest.raises(PreconditionError):
-            factorize_polyseq(Mf, g, Progression(1, 1, 5000), HorizontalCharacter((1,)))
-
-    def test_rejects_multi_coordinate_character(self):
-        Mf = Nilmanifold.torus(2)
-        g = PolySequence.torus_linear([Fraction(1, 1000), Fraction(1, 999)])
-        with pytest.raises(UnsupportedManifoldError):
-            factorize_polyseq(Mf, g, Progression(1, 1, 10), HorizontalCharacter((1, 1)))
 
 
 class TestReduceDimension:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from apinc.errors import BudgetExceededError, CertificateError
 from apinc.gowers import DenseSet, GroupFunction
+from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, partition_nilsequence
 from apinc.oracle import (
     brute_ap_count,
     brute_diam,
@@ -193,6 +194,16 @@ class TestVerify:
         with pytest.raises(CertificateError) as ei:
             verify_certificate(cert)
         assert ei.value.reason == "malformed-certificate"
+
+    def test_nil_pairs_charged_to_budget(self):
+        # the nilsequence diameter is a pairwise scan: L(L-1)/2 per part
+        Mf, g = Nilmanifold.torus(1), PolySequence.torus_linear([Fraction(1, 1000)])
+        cert = partition_nilsequence(Mf, g, lipschitz_catalog("e(x)"), Progression(1, 1, 300), 0.25)
+        assert cert.num_parts > 1
+        pairs = sum(p.len * (p.len - 1) // 2 for p in cert.parts)
+        assert verify_certificate(cert, budget=pairs)["ok"]
+        with pytest.raises(BudgetExceededError):
+            verify_certificate(cert, budget=pairs - 1)
 
     def test_error_payload_machine_readable(self):
         cert = copy.deepcopy(_sample_cert())

@@ -5,19 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apinc.errors import BudgetExceededError, NoQFoundError, PreconditionError
+from apinc.errors import BudgetExceededError, PreconditionError
 from apinc.oracle import brute_diam, verify_certificate
 from apinc.polyphase import (
     PolyPhase,
-    circ_norm,
     circle_diam,
     compose_affine,
     diam_on,
     partition_polyphase,
-    rationalize_phase,
     reduce_degree_partition,
-    smoothness_norm,
-    weyl_min,
 )
 from apinc.progressions import Progression
 
@@ -133,68 +129,6 @@ class TestDiam:
             (circ_dist(a, b) for a in vals for b in vals), default=Fraction(0)
         )
         assert circle_diam(vals) == brute
-
-
-class TestWeyl:
-    def test_half(self):
-        w = weyl_min(Fraction(1, 2), 1, 10)
-        assert (w.n, w.value) == (2, 0)
-
-    def test_seventh_square(self):
-        w = weyl_min(Fraction(1, 7), 2, 49)
-        assert (w.n, w.value) == (7, 0)
-
-    def test_golden_ratio_fibonacci(self):
-        w = weyl_min(GOLDEN, 1, 100)
-        assert w.n == 8
-        assert abs(w.value - 0.055728090000841214) < 1e-15
-
-    def test_tie_goes_low(self):
-        # ||n/5|| = 0 at n = 5 and n = 10; smallest wins
-        w = weyl_min(Fraction(1, 5), 1, 100)
-        assert w.n == 5
-
-    @given(
-        alpha=rationals,
-        s=st.integers(1, 3),
-        N=st.integers(1, 400),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_exhaustive_optimality(self, alpha, s, N):
-        w = weyl_min(alpha, s, N)
-        assert w.search_bound == max(1, math.isqrt(N))
-        vals = [circ_norm(alpha * n**s) for n in range(1, w.search_bound + 1)]
-        assert w.value == min(vals)
-        assert vals[w.n - 1] == w.value
-        assert all(v > w.value for v in vals[: w.n - 1])
-
-
-class TestSmoothness:
-    def test_linear(self):
-        phi = PolyPhase.binomial([0, Fraction(1, 200)])
-        assert smoothness_norm(phi, 10) == Fraction(1, 20)
-
-    def test_sup_over_degrees(self):
-        phi = PolyPhase.binomial([Fraction(1, 2), Fraction(1, 100), Fraction(1, 1000)])
-        # max(N/100, N^2/1000) at N = 5; constant term ignored
-        assert smoothness_norm(phi, 5) == Fraction(1, 20)
-
-    def test_rationalize_slow_drift(self):
-        N = 50
-        phi = PolyPhase.monomial([0, Fraction(1, 20 * N)])
-        q, norm = rationalize_phase(phi, N, Qmax=10)
-        assert q == 1 and norm == Fraction(1, 20)
-
-    def test_rationalize_near_third(self):
-        N = 90
-        phi = PolyPhase.monomial([Fraction(1, 4), Fraction(1, 3) + Fraction(1, 10**6)])
-        with pytest.raises(PreconditionError):
-            rationalize_phase(phi, N, Qmax=10)  # drifts across the circle
-
-    def test_rationalize_ceiling(self):
-        phi = PolyPhase.monomial([0, GOLDEN / 100])
-        with pytest.raises(NoQFoundError):
-            rationalize_phase(phi, 3, Qmax=5, ceiling=Fraction(1, 10**6))
 
 
 class TestReduceDegree:
