@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceededError,
     CertificateError,
     InvalidArgumentError,
+    charge,
 )
 from .polyphase import PolyPhase, lift
 from .progressions import Progression
@@ -61,6 +62,8 @@ def parse_phase(spec):
         j = 1 if m.group(2) else int(m.group(3)) if m.group(3) else 0
         coeffs[j] = coeffs.get(j, 0) + c
     top = max(coeffs, default=0)
+    # every partition costs at least (top + 1)^2 per point
+    charge((top + 1) ** 2, f"a phase of declared degree {top}")
     return PolyPhase.binomial([coeffs.get(j, 0) for j in range(top + 1)])
 
 

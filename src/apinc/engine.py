@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .gowers import DenseSet, InverseWitness, ap_count, ap_scan, balanced, inverse_u2, m_embed
-from .polyphase import PolyPhase, lift, partition_polyphase
+from .gowers import DenseSet, InverseWitness, ap_count, ap_scan, balanced
+from .gowers import catalog_inverse, inverse_u2
+from .polyphase import lift, partition_polyphase
 from .progressions import Progression
 
 SLACK = Fraction(1, 2**30)
+FFT_THRESHOLD = 2.0**-20  # the U^2 norm below which the fft oracle finds nothing
 
 
 # ---------------------------------------------------------------------
@@ -56,7 +58,7 @@ class Incremented:
             "variant": self.variant,
             "part": self.part.to_json(),
             "new_density": self.new_density,
-            "delta": self.witness.delta,
+            "delta": self.witness.correlation,
             "delta_eff": self.delta_eff,
         }
 
@@ -95,18 +97,17 @@ class IncrementTrace:
 # Oracles
 
 
-def fft_oracle(threshold=2.0**-20):
+def fft_oracle():
     """Inverse-U^2 oracle: the dominant Fourier mode of f."""
 
     def oracle(f):
-        return inverse_u2(f, threshold)
+        return inverse_u2(f, FFT_THRESHOLD)
 
     return oracle
 
 
 def catalog_oracle(grid=64, threshold=0.05):
     """Grid quadratic-phase oracle for k = 4."""
-    from .gowers import catalog_inverse
 
     def oracle(f):
         return catalog_inverse(f, 4, grid=grid, threshold=threshold)
@@ -142,21 +143,7 @@ def find_ap(A, k):
 # The increment step
 
 
-def _witness_partition(witness, N, target):
-    """Partition [1..N] so the witness phase moves by at most `target`
-    on each part; the caller starts at delta_eff/2 and refines toward
-    delta_eff/(4 pi), at which point the value diameter is provably
-    <= delta_eff/2."""
-    if witness.kind == "fourier":
-        phi = PolyPhase.monomial([0, Fraction(witness.params["r"], witness.params["M"])])
-    elif witness.kind == "polyphase":
-        phi = PolyPhase.from_json(witness.params["phase"])
-    else:
-        raise InvalidArgumentError(f"unknown witness kind {witness.kind!r}")
-    return partition_polyphase(phi, Progression(1, 1, N), target)
-
-
-def increment_from_witness(A, witness, k, floor_n0=2):
+def increment_from_witness(A, witness, floor_n0=2):
     """Pigeonhole a witness correlation into a density increment.
 
     The returned Incremented outcome satisfies, exactly in integers
@@ -164,13 +151,10 @@ def increment_from_witness(A, witness, k, floor_n0=2):
         |A'| / |P'|  >=  alpha + delta_eff / 4 - 2^-30.
     """
     N = A.N
-    # modulus the correlation was measured on: the embedded Z_M unless
-    # the witness says otherwise; f vanishes off the window [1..N], so
-    # the window-normalized correlation is delta * modulus / N
-    modulus = int(witness.params.get("M", m_embed(N, k)))
+    # f vanishes off the window [1..N], so the correlation measured on
+    # Z_M renormalizes to the window as delta * M / N
     alpha = A.density_exact
-    delta = lift(witness.delta)
-    delta_eff = delta * modulus / N
+    delta_eff = lift(witness.correlation) * witness.M / N
     members = set(A.members)
 
     min_len = max(2, floor_n0)
@@ -186,7 +170,8 @@ def increment_from_witness(A, witness, k, floor_n0=2):
                 best = (ratio, p, hits)
         return best
 
-    # start at the coarse phase target delta_eff/2 and refine; at the
+    # partition [1..N] so the witness phase moves by at most `target` on
+    # each part: start at the coarse target delta_eff/2 and refine; at the
     # floor delta_eff/(4 pi) the witness-value diameter is provably
     # <= delta_eff/2 and the pigeonhole gain delta_eff/4 is guaranteed.
     # Prefer the best part meeting the length floor when it carries the
@@ -196,7 +181,7 @@ def increment_from_witness(A, witness, k, floor_n0=2):
     target = min(delta_eff / 2, Fraction(1, 2))
     need = alpha + delta_eff / 4 - SLACK
     while True:
-        cert = _witness_partition(witness, N, target)
+        cert = partition_polyphase(witness.phase, Progression(1, 1, N), target)
         long_best = select(cert, min_len)
         if long_best is not None and alpha + long_best[0] >= need:
             ratio, part, hits = long_best
@@ -243,20 +228,18 @@ def density_increment_step(A, k, oracle=None, floor_n0=2):
     witness = oracle(f)
     if witness is None:
         return Inconclusive("oracle", stage="inverse")
-    return increment_from_witness(A, witness, k, floor_n0)
+    return increment_from_witness(A, witness, floor_n0)
 
 
-def szemeredi_search(A, k, floor_n0=2, oracle=None, max_iter=None):
+def szemeredi_search(A, k, floor_n0=2, oracle=None):
     """Iterate the increment step, rescaling each chosen part to
     [1..len]; returns the terminal outcome (APFound mapped back to the
     original coordinates) and the full trace."""
     trace = IncrementTrace()
     # current index i in [1..N_cur] corresponds to orig_base + (i-1)*orig_step
     orig_base, orig_step = 1, 1
-    if max_iter is None:
-        max_iter = 4 * A.N.bit_length() + 64
     cur = A
-    for _ in range(max_iter):
+    for _ in range(4 * A.N.bit_length() + 64):
         out = density_increment_step(cur, k, oracle=oracle, floor_n0=floor_n0)
         rec = {"N": cur.N, "alpha": float(cur.density), "size": len(cur.members)}
         if isinstance(out, APFound):
@@ -275,7 +258,7 @@ def szemeredi_search(A, k, floor_n0=2, oracle=None, max_iter=None):
         trace.add(
             **rec,
             outcome="incremented",
-            delta=out.witness.delta,
+            delta=out.witness.correlation,
             delta_eff=out.delta_eff,
             part={"base": part.base, "step": part.step, "len": part.len},
             new_density=out.new_density,

@@ -1,8 +1,13 @@
 """Structured errors shared by every module.
 
 Every failure the toolkit can report is one of these; nothing fails
-silently.  The CLI maps them to exit codes (see cli.EXIT_*).
+silently.  The CLI maps them to exit codes (see cli.EXIT_*).  Every
+work-budget check goes through `charge`.
 """
+
+import os
+
+DEFAULT_BUDGET = 10**9
 
 
 class ApincError(Exception):
@@ -24,6 +29,25 @@ class PreconditionError(ApincError):
 
 class BudgetExceededError(ApincError):
     code = "budget-exceeded"
+
+
+def work_budget():
+    """The work budget: APINC_BUDGET, an integer, or 10^9 when unset."""
+    text = os.environ.get("APINC_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"APINC_BUDGET must be an integer, got {text!r}") from None
+
+
+def charge(cost, what):
+    """Refuse, before the work is done, `what` when its modelled cost
+    exceeds the work budget."""
+    budget = work_budget()
+    if cost > budget:
+        raise BudgetExceededError(f"{what} needs {cost} work units > budget {budget}")
 
 
 class UnsupportedManifoldError(ApincError):

@@ -23,8 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidArgumentError
-from .oracle import work_budget
+from .errors import InvalidArgumentError, charge
+from .polyphase import PolyPhase
+from .progressions import Progression
 
 TOL = 2.0**-30
 
@@ -132,32 +133,17 @@ def _is_real(x):
 
 @dataclass(frozen=True)
 class InverseWitness:
-    """A structured function correlating with f: |E_n f(n) conj(w(n))| = delta."""
+    """An exact phase w = e(phase) on Z_M correlating with f:
+    |E_n f(n) conj(w(n))| = correlation.  A Fourier character e(rn/M)
+    is the degree-1 case."""
 
-    kind: str  # "fourier" | "polyphase"
-    params: dict
+    phase: PolyPhase
+    M: int
     correlation: float
 
-    @property
-    def delta(self):
-        return self.correlation
-
-    def witness_values(self, M):
-        n = np.arange(M)
-        if self.kind == "fourier":
-            return np.exp(2j * np.pi * self.params["r"] * n / M)
-        if self.kind == "polyphase":
-            from .polyphase import PolyPhase
-
-            phi = PolyPhase.from_json(self.params["phase"])
-            return np.exp(2j * np.pi * np.array([float(phi.eval(i)) for i in n]))
-        raise InvalidArgumentError(f"unknown witness kind {self.kind!r}")
-
     def recompute(self, f):
-        return abs(np.mean(f.values * np.conj(self.witness_values(f.M))))
-
-    def to_json(self):
-        return {"kind": self.kind, "params": self.params, "correlation": self.correlation}
+        res = np.array(self.phase.residues(Progression(0, 1, self.M)), dtype=float)
+        return abs(np.mean(f.values * np.exp(-2j * np.pi * res / self.phase.den)))
 
 
 def m_embed(N, k):
@@ -174,8 +160,11 @@ def balanced(A, k=3):
     The window mean is zero exactly: values are the rationals 1 - |A|/N
     and -|A|/N, materialized as doubles but summed to zero in exact
     arithmetic by construction (N * alpha = |A| is an integer identity).
+    The M doubles and the FFTs over them are charged as M * bitlen(M)
+    before anything is allocated.
     """
     M = m_embed(A.N, k)
+    charge(M * M.bit_length(), f"balanced function on Z_{M}")
     alpha = A.density_exact
     vals = np.zeros(M)
     vals[1 : A.N + 1] = float(-alpha)
@@ -188,7 +177,7 @@ def _derivative(values, h):
     return np.roll(values, -h) * np.conj(values)
 
 
-def gowers_norm(f, k, budget=None):
+def gowers_norm(f, k):
     """U^k norm on Z_M via the multiplicative-derivative recursion;
     k = 2 has an FFT fast path agreeing with the recursion to 2^-30."""
     if k < 1:
@@ -200,11 +189,7 @@ def gowers_norm(f, k, budget=None):
     if k == 2:
         fh = np.fft.fft(values) / M
         return float(np.sum(np.abs(fh) ** 4)) ** 0.25
-    budget = budget or work_budget()
-    if M ** (k + 1) > budget:
-        raise BudgetExceededError(
-            f"U^{k} on Z_{M} needs M^(k+1) = {M**(k+1)} > budget {budget}"
-        )
+    charge(M ** (k + 1), f"U^{k} on Z_{M}")
 
     def power(vals, j):
         # ||vals||_{U^j}^{2^j}
@@ -265,12 +250,7 @@ def ap_scan(A, k):
     if len(A.members) < k:
         return 0, 0, 0
     N = A.N
-    cost = (N - 1) // (k - 1) * (k - 1) * -(-(N + 1) // 64)
-    budget = work_budget()
-    if cost > budget:
-        raise BudgetExceededError(
-            f"k-AP scan of [1..{N}] needs {cost} word operations > budget {budget}"
-        )
+    charge((N - 1) // (k - 1) * (k - 1) * -(-(N + 1) // 64), f"k-AP scan of [1..{N}]")
     return _ap_pass(A, k)
 
 
@@ -328,12 +308,10 @@ def inverse_u2(f, delta):
         return None
     fh = f.fourier()
     r = int(np.argmax(np.abs(fh)))
-    return InverseWitness(
-        kind="fourier", params={"r": r, "M": f.M}, correlation=float(abs(fh[r]))
-    )
+    return InverseWitness(PolyPhase.binomial([0, Fraction(r, f.M)]), f.M, float(abs(fh[r])))
 
 
-def catalog_inverse(f, k, grid=64, threshold=0.1, budget=None):
+def catalog_inverse(f, k, grid=64, threshold=0.1):
     """Best correlating grid quadratic phase e(theta C(n,2) + c n), the
     constructive stand-in for the degree-(k-2) inverse oracle at k = 4.
 
@@ -347,9 +325,7 @@ def catalog_inverse(f, k, grid=64, threshold=0.1, budget=None):
     M = f.M
     if M % grid != 0:
         raise InvalidArgumentError("grid must divide the modulus")
-    budget = budget or work_budget()
-    if grid * grid * M > budget:
-        raise BudgetExceededError("grid^2 * M exceeds the work budget")
+    charge(grid * grid * M, f"catalog scan of a {grid}x{grid} grid on Z_{M}")
     n = np.arange(M)
     cn2 = (n * (n - 1) // 2) % grid
     best = (0.0, None)
@@ -363,10 +339,5 @@ def catalog_inverse(f, k, grid=64, threshold=0.1, budget=None):
     corr, ab = best
     if ab is None or corr < threshold:
         return None
-    from .polyphase import PolyPhase
-
     a, b = ab
-    phi = PolyPhase.binomial([0, Fraction(b, grid), Fraction(a, grid)])
-    return InverseWitness(
-        kind="polyphase", params={"phase": phi.to_json(), "M": M}, correlation=corr
-    )
+    return InverseWitness(PolyPhase.binomial([0, Fraction(b, grid), Fraction(a, grid)]), M, corr)

@@ -13,18 +13,12 @@ import cmath
 import functools
 import itertools
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, CertificateError, InvalidArgumentError
-
-DEFAULT_BUDGET = 10**9
-
-
-def work_budget():
-    return int(os.environ.get("APINC_BUDGET", DEFAULT_BUDGET))
+from .errors import BudgetExceededError, CertificateError, InvalidArgumentError, charge
+from .progressions import Progression
 
 
 # ---------------------------------------------------------------------
@@ -95,15 +89,13 @@ def max_ap_free(N, k=3):
 # Gowers norms by literal cube summation
 
 
-def brute_gowers(f, k, budget=None):
+def brute_gowers(f, k):
     """U^k norm via the 2^k-fold cube sum, no FFT, no recursion."""
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     values = np.asarray(f.values if hasattr(f, "values") else f, dtype=complex)
     M = len(values)
-    budget = budget or work_budget()
-    if M ** (k + 1) > budget:
-        raise BudgetExceededError(f"M^(k+1) = {M**(k+1)} exceeds budget {budget}")
+    charge(M ** (k + 1), f"cube sum of U^{k} on Z_{M}")
     idx = np.arange(M)
     total = 0.0 + 0.0j
     for hs in itertools.product(range(M), repeat=k):
@@ -263,7 +255,7 @@ def brute_diam(channel_payload, P, channel="polyphase"):
 VERIFY_TOL = 2.0**-30
 
 
-def verify_certificate(cert, budget=None):
+def verify_certificate(cert):
     """Re-verify a PartitionCertificate JSON object from scratch.
 
     Checks disjointness, exact coverage of the source, the minimum part
@@ -275,8 +267,6 @@ def verify_certificate(cert, budget=None):
     it reads is missing, unreadable or not finite); returns a report
     dict on success.
     """
-    from .progressions import Progression
-
     if hasattr(cert, "to_json"):
         cert = cert.to_json()
     try:  # every field read below, parsed up front
@@ -300,9 +290,7 @@ def verify_certificate(cert, budget=None):
     # NaN and infinity pass every comparison below: refuse them
     if not all(map(math.isfinite, [eps, *stored])):
         raise CertificateError("malformed-certificate", "epsilon and every diam must be finite")
-    budget = budget or work_budget()
-    if source.len > budget:
-        raise BudgetExceededError("certificate too large for the verification budget")
+    charge(source.len, f"verification of {source.len} points")
 
     seen = {}
     for pi, p in enumerate(parts):
@@ -332,11 +320,7 @@ def verify_certificate(cert, budget=None):
             )
 
     if channel == "nilsequence":  # brute_diam scans every pair of a part
-        pairs = sum(p.len * (p.len - 1) // 2 for p in parts)
-        if pairs > budget:
-            raise BudgetExceededError(
-                f"nilsequence diameters need {pairs} pairs, over the budget {budget}"
-            )
+        charge(sum(p.len * (p.len - 1) // 2 for p in parts), "pairwise nilsequence diameters")
 
     witnesses = []
     for pi, (p, w) in enumerate(zip(parts, stored)):

@@ -29,7 +29,7 @@ from itertools import accumulate, islice
 from math import factorial, isfinite, isqrt, lcm
 
 from .errors import InvalidArgumentError, PreconditionError
-from .progressions import check_budget, refine, repair, subdivide
+from .progressions import PartitionCertificate, check_budget, refine, repair, subdivide
 
 HALF = Fraction(1, 2)
 # strictly below 6/pi^2, so the per-degree budgets sum to < epsilon
@@ -492,8 +492,6 @@ def partition_polyphase(phi, P, eps):
     degree level and once more for the witnesses, so P costs
     len(P) * (d + 1)^2.
     """
-    from .progressions import PartitionCertificate
-
     eps_f = lift(eps)
     if not 0 < eps_f <= HALF:
         raise PreconditionError("eps must lie in (0, 1/2]")

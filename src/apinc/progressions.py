@@ -9,8 +9,7 @@ not be checkable by external tools, so we reject it up front.
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, IntegerRangeError, InvalidArgumentError
-from .oracle import work_budget
+from .errors import IntegerRangeError, InvalidArgumentError, charge
 
 INT_BOUND = 2**63
 
@@ -203,12 +202,7 @@ def check_budget(P, per_point):
     """Refuse to partition P, before any list over it is built, when its
     modelled cost len(P) * per_point exceeds the work budget
     (APINC_BUDGET, default 10^9)."""
-    cost = P.len * per_point
-    budget = work_budget()
-    if cost > budget:
-        raise BudgetExceededError(
-            f"partition of {P.len} points needs {cost} work units > budget {budget}"
-        )
+    charge(P.len * per_point, f"partition of {P.len} points")
 
 
 def refine(P, root, fits, reduce):

@@ -253,7 +253,7 @@ def test_criterion_10_catalog_oracle():
     structured_ok = w is not None and w.correlation >= 0.1
     inc_ok = False
     if structured_ok:
-        out = increment_from_witness(A, w, 4, floor_n0=2)
+        out = increment_from_witness(A, w, floor_n0=2)
         if isinstance(out, Incremented):
             hits = sum(1 for x in out.part.elements() if x in set(A.members))
             lhs = Fraction(hits, out.part.len)

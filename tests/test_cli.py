@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from apinc.cli import main, parse_coeff, parse_phase, parse_range
-from apinc.errors import InvalidArgumentError
+from apinc.errors import BudgetExceededError, InvalidArgumentError
 from apinc.gowers import DenseSet, GroupFunction
 
 
@@ -41,6 +41,15 @@ class TestParsing:
         with pytest.raises(InvalidArgumentError):
             parse_coeff(text)
 
+    # a phase of declared degree 100 costs 101^2 per point in any
+    # partition: charged before its coefficient list is built
+    def test_declared_degree_charged(self, monkeypatch):
+        monkeypatch.setenv("APINC_BUDGET", str(101**2))
+        assert parse_phase("1/3 C(n,100)").declared_degree == 100
+        monkeypatch.setenv("APINC_BUDGET", str(101**2 - 1))
+        with pytest.raises(BudgetExceededError):
+            parse_phase("1/3 C(n,100)")
+
     def test_phase_bad_term(self):
         with pytest.raises(InvalidArgumentError):
             parse_phase("n^2 / 3")
@@ -71,6 +80,14 @@ class TestCount:
         code, out, err = run(capsys, command, "--set", p, "--k", "3")
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "budget-exceeded"
+
+    @pytest.mark.parametrize("command, budget", [("count", "1e9"), ("roth", "abc")])
+    def test_budget_not_an_integer(self, tmp_path, capsys, monkeypatch, command, budget):
+        monkeypatch.setenv("APINC_BUDGET", budget)
+        p = write_json(tmp_path / "a.json", DenseSet(64, range(1, 65)).to_json())
+        code, out, err = run(capsys, command, "--set", p, "--k", "3")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "invalid-argument"
 
 
 @pytest.mark.parametrize(
@@ -314,3 +331,13 @@ class TestRoth:
         p = write_json(tmp_path / "a.json", {"N": 10, "members": [99]})
         code, _, err = run(capsys, "roth", "--set", p, "--k", "3")
         assert code == 4
+
+    # {1, 2} has fewer than 3 members, so the AP scan charges nothing; the
+    # balanced function on Z_32768 costs 32768 * 16 before it is allocated
+    @pytest.mark.parametrize("budget, code", [(32768 * 16, 0), (32768 * 16 - 1, 3)])
+    def test_sparse_set_charges_the_embedding(self, tmp_path, capsys, monkeypatch, budget, code):
+        monkeypatch.setenv("APINC_BUDGET", str(budget))
+        p = write_json(tmp_path / "a.json", DenseSet(4096, [1, 2]).to_json())
+        got, out, err = run(capsys, "roth", "--set", p, "--k", "3")
+        assert got == code
+        assert code == 0 or (out == "" and json.loads(err)["error"] == "budget-exceeded")

@@ -21,7 +21,7 @@ from apinc.engine import (
     szemeredi_search,
 )
 from apinc.errors import BudgetExceededError, InvalidArgumentError
-from apinc.gowers import DenseSet, InverseWitness, ap_count, balanced
+from apinc.gowers import DenseSet, ap_count, balanced
 from apinc.oracle import brute_ap_count
 from apinc.progressions import Progression
 
@@ -208,7 +208,7 @@ class TestIncrementFromWitness:
 
         w = inverse_u2(f, 0.01)
         assert w is not None
-        out = increment_from_witness(A, w, 3, floor_n0=2)
+        out = increment_from_witness(A, w, floor_n0=2)
         assert isinstance(out, Incremented)
         assert out.new_density > A.density
 
@@ -218,18 +218,9 @@ class TestIncrementFromWitness:
         from apinc.gowers import inverse_u2
 
         w = inverse_u2(f, 0.01)
-        out = increment_from_witness(A, w, 3, floor_n0=6)
+        out = increment_from_witness(A, w, floor_n0=6)
         assert isinstance(out, Inconclusive)
         assert out.reason in ("length-floor", "increment-shortfall")
-
-    @pytest.mark.parametrize("kind", ["mystery", "nilsequence"])
-    def test_unknown_witness_kind(self, kind):
-        # the engine partitions phase witnesses only; no oracle emits a
-        # nilsequence witness
-        A = DenseSet(16, [1, 2])
-        w = InverseWitness(kind=kind, params={}, correlation=0.5)
-        with pytest.raises(InvalidArgumentError):
-            increment_from_witness(A, w, 3)
 
 
 class TestSearch:
@@ -336,12 +327,11 @@ class TestCatalogOracle:
         A = DenseSet(N, members)
         f = balanced(A, 4)
         w = catalog_oracle(grid=grid, threshold=0.02)(f)
-        assert w is not None and w.kind == "polyphase"
+        assert w is not None and w.M == f.M
         # correlation is measured on Z_M; renormalized to the window it
         # recovers the planted strength
         assert w.correlation * f.M / N >= 0.1
-        coeffs = w.params["phase"]["coeffs"]
-        assert coeffs == ["0/1", f"{c.numerator}/{c.denominator}", f"{theta.numerator}/{theta.denominator}"]
+        assert w.phase.basis == "binomial" and w.phase.coeffs == (0, c, theta)
 
     def test_random_set_not_found(self):
         rng = np.random.default_rng(1)

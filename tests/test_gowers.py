@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,8 +91,6 @@ class TestEmbedding:
         assert m_embed(729, 3) == 8192
 
     def test_balanced_window_sum(self):
-        from fractions import Fraction
-
         A = DenseSet(729, [3 * i + 1 for i in range(243)])
         f = balanced(A, 3)
         assert f.M == m_embed(729, 3)
@@ -263,7 +263,7 @@ class TestInverseU2:
         f = GroupFunction(0.5 * GroupFunction.character(M, 37).values)
         w = inverse_u2(f, 0.1)
         assert w is not None
-        assert w.params["r"] == 37 and w.params["M"] == M
+        assert w.phase.coeffs == (0, Fraction(37, M)) and w.M == M
         assert abs(w.correlation - 0.5) < 1e-12
 
     def test_guarantee_delta_squared(self):
@@ -289,7 +289,7 @@ class TestCatalogInverse:
         planted = np.exp(2j * np.pi * (5 * (n * (n - 1) // 2) + 3 * n) / 64)
         f = GroupFunction(0.4 * planted)
         w = catalog_inverse(f, 4, grid=64, threshold=0.1)
-        assert w is not None and w.kind == "polyphase"
+        assert w is not None and w.phase.coeffs == (0, Fraction(3, 64), Fraction(5, 64))
         assert abs(w.correlation - 0.4) < 1e-9
         assert abs(w.recompute(f) - w.correlation) < 1e-9
 

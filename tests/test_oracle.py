@@ -89,10 +89,11 @@ class TestBruteGowers:
         f = GroupFunction.character(12, 5)
         assert abs(brute_gowers(f, 2) - 1.0) < 1e-12
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("APINC_BUDGET", str(10**6))
         f = GroupFunction(np.ones(64))
         with pytest.raises(BudgetExceededError):
-            brute_gowers(f, 4, budget=10**6)
+            brute_gowers(f, 4)
 
     @given(
         M=st.integers(2, 8),
@@ -195,15 +196,17 @@ class TestVerify:
             verify_certificate(cert)
         assert ei.value.reason == "malformed-certificate"
 
-    def test_nil_pairs_charged_to_budget(self):
+    def test_nil_pairs_charged_to_budget(self, monkeypatch):
         # the nilsequence diameter is a pairwise scan: L(L-1)/2 per part
         Mf, g = Nilmanifold.torus(1), PolySequence.torus_linear([Fraction(1, 1000)])
         cert = partition_nilsequence(Mf, g, lipschitz_catalog("e(x)"), Progression(1, 1, 300), 0.25)
         assert cert.num_parts > 1
         pairs = sum(p.len * (p.len - 1) // 2 for p in cert.parts)
-        assert verify_certificate(cert, budget=pairs)["ok"]
+        monkeypatch.setenv("APINC_BUDGET", str(pairs))
+        assert verify_certificate(cert)["ok"]
+        monkeypatch.setenv("APINC_BUDGET", str(pairs - 1))
         with pytest.raises(BudgetExceededError):
-            verify_certificate(cert, budget=pairs - 1)
+            verify_certificate(cert)
 
     def test_error_payload_machine_readable(self):
         cert = copy.deepcopy(_sample_cert())
