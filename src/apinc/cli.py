@@ -58,8 +58,11 @@ def parse_phase(spec):
         m = _TERM.match(term)
         if not m:
             raise InvalidArgumentError(f"cannot parse phase term {term.strip()!r}")
-        c = parse_coeff(m.group(1))
-        j = 1 if m.group(2) else int(m.group(3)) if m.group(3) else 0
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            c = parse_coeff(m.group(1))
+            j = 1 if m.group(2) else int(m.group(3)) if m.group(3) else 0
+        except ValueError as e:
+            raise InvalidArgumentError(f"cannot read phase term: {e}") from None
         coeffs[j] = coeffs.get(j, 0) + c
     top = max(coeffs, default=0)
     # every partition costs at least (top + 1)^2 per point

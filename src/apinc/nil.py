@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     UnsupportedManifoldError,
 )
-from .polyphase import PolyPhase, circ_dist, frac, lift, partition_polyphase
+from .polyphase import PolyPhase, frac, lift, partition_polyphase
 from .progressions import PartitionCertificate, check_budget, refine, repair
 
 TWO_PI = 2.0 * math.pi
@@ -67,16 +67,6 @@ class Nilmanifold:
     @classmethod
     def heisenberg(cls):
         return cls("heisenberg", 3)
-
-    def metric(self, a, b):
-        """Max of coordinate circle distances between reduced points."""
-        if len(a) != self.dim or len(b) != self.dim:
-            raise InvalidArgumentError("coordinate count mismatch")
-        if self.dim == 0:
-            return 0.0
-        return max(
-            float(circ_dist(lift(float(u)), lift(float(v)))) for u, v in zip(a, b)
-        )
 
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
@@ -122,9 +112,6 @@ class PolySequence:
     @property
     def degree(self):
         return max((c.degree for c in self.coords), default=0)
-
-    def compose_affine(self, a, b):
-        return PolySequence([c.compose_affine_frac(a, b) for c in self.coords])
 
     def point(self, Mf, n):
         """Fundamental-domain coordinates of g(n)Gamma, exact Fractions."""
@@ -329,27 +316,36 @@ def nil_values(Mf, g, F, P):
     return np.array([F.value(u) for u in g.float_points(Mf, P)])
 
 
+def convex_hull(vals):
+    """Vertices of the convex hull of a complex point set, by Andrew's
+    monotone chain (A. M. Andrew, IPL 9(5), 1979) over the distinct
+    points sorted by real then imaginary part.  A turn that is not
+    strictly left drops its middle point, so duplicate and collinear
+    points need no second path: a collinear cloud keeps its two ends,
+    a single point itself."""
+    u = np.unique(vals)  # numpy orders complex values by real, then imaginary part
+    pts = list(zip(u.real.tolist(), u.imag.tolist()))
+
+    def chain(rows):
+        h = []
+        for x, y in rows:
+            while len(h) > 1 and (
+                (h[-1][0] - h[-2][0]) * (y - h[-2][1]) - (h[-1][1] - h[-2][1]) * (x - h[-2][0])
+                <= 0
+            ):
+                h.pop()
+            h.append((x, y))
+        return h
+
+    # the lower chain runs first to last point, the upper one back
+    return np.array([complex(x, y) for x, y in chain(pts) + chain(pts[::-1])[1:-1]])
+
+
 def complex_diam(vals):
     """Exhaustive diameter of a complex point set (pairwise sup)."""
     vals = np.asarray(vals)
-    if len(vals) < 2:
-        return 0.0
-    if len(vals) > 1200:
-        # the diameter is attained on the convex hull; for degenerate
-        # (collinear) clouds it is between the extremes along the
-        # principal axis
-        pts = np.unique(np.c_[vals.real, vals.imag], axis=0)
-        if len(pts) > 2:
-            try:
-                from scipy.spatial import ConvexHull, QhullError
-
-                pts = pts[ConvexHull(pts).vertices]
-            except QhullError:
-                ctr = pts - pts.mean(axis=0)
-                direction = np.linalg.svd(ctr, full_matrices=False)[2][0]
-                proj = ctr @ direction
-                pts = pts[[int(np.argmin(proj)), int(np.argmax(proj))]]
-        vals = pts[:, 0] + 1j * pts[:, 1]
+    if len(vals) > 1200:  # the diameter is attained on the convex hull
+        vals = convex_hull(vals)
     best = 0.0
     for i in range(len(vals) - 1):
         best = max(best, float(np.max(np.abs(vals[i + 1 :] - vals[i]))))

@@ -264,8 +264,9 @@ def verify_certificate(cert):
     scans (L(L-1)/2 per part of length L) against the work budget.
     Raises CertificateError with a machine-readable
     reason on the first violation ("malformed-certificate" when a field
-    it reads is missing, unreadable or not finite); returns a report
-    dict on success.
+    it reads is missing, unreadable or not finite, or a count or
+    progression field is not an integer); returns a report dict on
+    success.
     """
     if hasattr(cert, "to_json"):
         cert = cert.to_json()
@@ -273,7 +274,10 @@ def verify_certificate(cert):
         source = Progression.from_json(cert["source"])
         parts = [Progression.from_json(p) for p in cert["parts"]]
         stored = [float(p["diam"]) for p in cert["parts"]]
-        eps, min_len = float(cert["epsilon"]), int(cert["min_len"])
+        eps, min_len = float(cert["epsilon"]), cert["min_len"]
+        if type(min_len) is not int:
+            raise InvalidArgumentError(f"min_len must be an integer, got {min_len!r}")
+        numbers = [eps, *stored]
         channel, payload = cert.get("channel", "polyphase"), cert["payload"]
         # one channel value parses the payload's phase, or its manifold,
         # sequence and function
@@ -281,15 +285,22 @@ def verify_certificate(cert):
             _phase_value(payload["phase"], source.base)
         elif channel == "nilsequence":
             _nil_channel_value(payload, source.base)
+            fn = payload["function"]
+            numbers += [float(fn.get("prefactor_re", 1.0)), float(fn.get("prefactor_im", 0.0))]
+            for fac in fn["factors"]:
+                numbers += [float(fac.get("k", 1)), float(fac.get("shift", 0.0))]
         else:
             raise CertificateError("malformed-certificate", f"unknown channel {channel!r}")
     except (
         InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
     ) as e:
         raise CertificateError("malformed-certificate", f"unreadable certificate: {e!r}") from e
-    # NaN and infinity pass every comparison below: refuse them
-    if not all(map(math.isfinite, [eps, *stored])):
-        raise CertificateError("malformed-certificate", "epsilon and every diam must be finite")
+    # NaN and infinity pass every comparison below, and a function value
+    # NaN hides from the pairwise scan's max(): refuse them
+    if not all(map(math.isfinite, numbers)):
+        raise CertificateError(
+            "malformed-certificate", "epsilon, every diam and the function's numbers must be finite"
+        )
     charge(source.len, f"verification of {source.len} points")
 
     seen = {}

@@ -246,9 +246,6 @@ class PolyPhase:
             self._coeffs = tuple(Fraction(p, q) for p in ps)
         return self._coeffs
 
-    def binomial_coeffs(self):
-        return list(self.in_basis("binomial").coeffs)
-
     def in_basis(self, basis):
         if basis == self.basis:
             return self

@@ -58,7 +58,12 @@ class Progression:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["base"]), int(obj["step"]), int(obj["len"]))
+        """The progression of a JSON object whose base, step and len are
+        integers; a bool, float or string is refused, never rounded."""
+        fields = obj["base"], obj["step"], obj["len"]
+        if not all(type(x) is int for x in fields):
+            raise InvalidArgumentError(f"base, step and len must be integers, got {fields!r}")
+        return cls(*fields)
 
     @classmethod
     def interval(cls, lo, hi):

@@ -230,9 +230,15 @@ class TestPartitionAndVerify:
               "--range", "1..10", "--eps", "inf"], None, 4, "invalid-argument"),
             (["partition-nil", "--manifold", "torus:x", "--seq", "1/7 n", "--fn", "e(x)",
               "--range", "1..10", "--eps", "0.1"], None, 4, "invalid-argument"),
+            # more digits than int() reads from a string
+            (["partition-phase", "--phase", "7" * 5000 + " n", "--range", "1..10", "--eps", "0.1"],
+             None, 4, "invalid-argument"),
+            (["partition-phase", "--phase", "1/3 C(n," + "7" * 5000 + ")", "--range", "1..10",
+              "--eps", "0.1"], None, 4, "invalid-argument"),
         ],
         ids=["verify-empty", "verify-no-phase", "phase-zero-denominator", "phase-eps-nan",
-             "phase-eps-inf", "nil-eps-nan", "nil-eps-inf", "nil-torus-dim"],
+             "phase-eps-inf", "nil-eps-nan", "nil-eps-inf", "nil-torus-dim",
+             "phase-coeff-digits", "phase-degree-digits"],
     )
     def test_malformed_input_structured_error(self, tmp_path, capsys, argv, cert, code, error):
         if cert is not None:
@@ -245,6 +251,57 @@ class TestPartitionAndVerify:
         else:
             assert payload["error"] == error
         assert payload["message"]
+
+    # one 70-point part: e(x) of the constant sequence 0 on torus:1
+    @staticmethod
+    def _nil_cert(tmp_path, capsys):
+        out_path = tmp_path / "cert.json"
+        code, _, _ = run(
+            capsys, "partition-nil", "--manifold", "torus:1", "--seq", "0", "--fn", "e(x)",
+            "--range", "1..70", "--eps", "0.1", "--out", str(out_path),
+        )
+        assert code == 0
+        return json.loads(out_path.read_text())
+
+    def _verify(self, tmp_path, capsys, cert):
+        return run(capsys, "verify", "--cert", write_json(tmp_path / "mutated.json", cert))
+
+    # every value of a non-finite function is NaN, which max() and both
+    # tolerance comparisons would let through as diameter 0
+    @pytest.mark.parametrize("field", ["prefactor_re", "prefactor_im", "shift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_function_refused(self, tmp_path, capsys, field, value):
+        cert = self._nil_cert(tmp_path, capsys)
+        assert len(cert["parts"]) == 1 and cert["parts"][0]["len"] == 70
+        fn = cert["payload"]["function"]
+        (fn["factors"][0] if field == "shift" else fn)[field] = value
+        code, out, err = self._verify(tmp_path, capsys, cert)
+        assert code == 2 and out == ""
+        assert json.loads(err)["reason"] == "malformed-certificate"
+
+    # integer fields are read as they stand, never rounded or parsed
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("parts", 0, "base"), 1.9),
+            (("parts", 0, "len"), "70"),
+            (("min_len",), 10.5),
+            (("source", "step"), True),
+            (("parts", 0, "step"), 1.0),
+        ],
+        ids=["base-float", "len-string", "min_len-float", "step-bool", "step-integral-float"],
+    )
+    def test_non_integer_field_refused(self, tmp_path, capsys, path, value):
+        cert = self._nil_cert(tmp_path, capsys)
+        code, _, _ = self._verify(tmp_path, capsys, cert)
+        assert code == 0
+        obj = cert
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        code, out, err = self._verify(tmp_path, capsys, cert)
+        assert code == 2 and out == ""
+        assert json.loads(err)["reason"] == "malformed-certificate"
 
     # refused before any list over the range is built
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The independent verifier stays independent: no construction module
 imports `apinc.oracle`, and the oracle builds on nothing of apinc but
-its errors and progressions."""
+its errors and progressions.  numpy is the only third-party runtime
+dependency: no module imports scipy."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "apinc"
 CONSTRUCTION = ["progressions", "polyphase", "nil", "gowers", "engine"]
+
+
+def imported_modules(module):
+    """Every absolute module name that src/apinc/<module>.py imports, at
+    any depth of its syntax tree."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
 
 
 def apinc_imports(module):
@@ -37,3 +50,8 @@ def test_construction_does_not_import_the_verifier(module):
 
 def test_verifier_imports_only_errors_and_progressions():
     assert apinc_imports("oracle") <= {"errors", "progressions"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_imports_scipy(module):
+    assert not any(m.split(".")[0] == "scipy" for m in imported_modules(module))

@@ -18,6 +18,7 @@ from apinc.nil import (
     Nilmanifold,
     PolySequence,
     complex_diam,
+    convex_hull,
     heisenberg_reduce,
     lipschitz_catalog,
     nil_eval,
@@ -57,20 +58,6 @@ class TestGroupLaw:
 
 
 class TestManifold:
-    def test_metric_max_of_circle_distances(self):
-        T = Nilmanifold.torus(2)
-        assert abs(T.metric((0.1, 0.9), (0.2, 0.1)) - 0.2) < 1e-12
-
-    @given(
-        a=st.tuples(*[st.floats(0, 1, exclude_max=True)] * 2),
-        b=st.tuples(*[st.floats(0, 1, exclude_max=True)] * 2),
-        c=st.tuples(*[st.floats(0, 1, exclude_max=True)] * 2),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_triangle_inequality(self, a, b, c):
-        T = Nilmanifold.torus(2)
-        assert T.metric(a, c) <= T.metric(a, b) + T.metric(b, c) + 1e-12
-
     def test_json_roundtrip(self):
         for Mf in (Nilmanifold.torus(3), Nilmanifold.heisenberg()):
             assert Nilmanifold.from_json(Mf.to_json()).kind == Mf.kind
@@ -134,15 +121,6 @@ class TestSequencesAndEval:
         want = [tuple(float(u) for u in g.point(Mf, n)) for n in P.elements()]
         assert g.float_points(Mf, P) == want
 
-    def test_compose_affine_pointwise(self):
-        Mf = Nilmanifold.torus(2)
-        g = PolySequence(
-            [PolyPhase.monomial([0, Fraction(1, 7)]), PolyPhase.monomial([0, 0, Fraction(1, 5)])]
-        )
-        h = g.compose_affine(3, 2)
-        for m in range(10):
-            assert h.point(Mf, m) == g.point(Mf, 3 * m + 2)
-
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             PolySequence([PolyPhase.zero()]).point(Nilmanifold.torus(2), 1)
@@ -179,9 +157,9 @@ class TestLipschitzFunctions:
     )
     @settings(max_examples=300, deadline=None)
     def test_lipschitz_bound_sampled(self, u, v, w1, w2):
-        Mf = Nilmanifold.torus(2)
         F = lipschitz_catalog("e(x)*cutoff")
-        d = Mf.metric((u, w1), (v, w2))
+        # max of the coordinate circle distances on the 2-torus
+        d = max(min(abs(a - b), 1 - abs(a - b)) for a, b in ((u, v), (w1, w2)))
         assert abs(F.value((u, w1)) - F.value((v, w2))) <= F.lipschitz * d + 1e-9
 
     def test_freeze_folds_and_reindexes(self):
@@ -224,6 +202,23 @@ class TestComplexDiam:
     def test_collinear_cloud(self):
         vals = np.linspace(-3, 7, 2000) * (1 + 1j) / math.sqrt(2)
         assert abs(complex_diam(vals) - 10.0) < 1e-9
+
+    @given(
+        pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=40),
+        line=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        ts=st.lists(st.integers(-6, 6), max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hull_diameter_is_the_pairwise_diameter(self, pts, line, ts):
+        # small integer coordinates keep every cross product exact; the
+        # points on a line through pts[0] and the repeated draws bring in
+        # collinear and duplicate points
+        (x0, y0), (dx, dy) = pts[0], line
+        vals = np.array([complex(x, y) for x, y in pts + [(x0 + t * dx, y0 + t * dy) for t in ts]])
+        pairwise = max(abs(a - b) for a in vals for b in vals)
+        hull = convex_hull(vals)
+        assert set(hull) <= set(vals)
+        assert max(abs(a - b) for a in hull for b in hull) == pairwise
 
 
 class TestReduceDimension:

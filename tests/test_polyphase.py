@@ -343,7 +343,7 @@ class TestKernel:
         for _ in range(d + 1):
             alphas.append(vals[0])
             vals = [b - a for a, b in zip(vals, vals[1:])]
-        assert phi.binomial_coeffs() == alphas
+        assert list(phi.in_basis("binomial").coeffs) == alphas
         assert phi.degree == max((j for j in range(1, d + 1) if alphas[j].denominator > 1), default=0)
         other = phi.in_basis("monomial" if basis == "binomial" else "binomial")
         assert other.eval_real(n) == ref_value(coeffs, basis, n)
