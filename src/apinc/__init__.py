@@ -44,7 +44,6 @@ from .nil import (
     Nilmanifold,
     PolySequence,
     lipschitz_catalog,
-    nil_eval,
     partition_nilsequence,
 )
 from .oracle import brute_ap_count, brute_gowers, max_ap_free, verify_certificate
@@ -92,7 +91,6 @@ __all__ = [
     "lambda_k",
     "lipschitz_catalog",
     "max_ap_free",
-    "nil_eval",
     "partition_nilsequence",
     "partition_polyphase",
     "subdivide",

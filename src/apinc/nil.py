@@ -43,8 +43,8 @@ from .errors import (
     PreconditionError,
     UnsupportedManifoldError,
 )
-from .polyphase import PolyPhase, frac, lift, partition_polyphase
-from .progressions import PartitionCertificate, check_budget, refine, repair
+from .polyphase import PolyPhase, lift, partition_polyphase
+from .progressions import PartitionCertificate, check_budget, index_slice, refine, repair
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,14 +80,6 @@ class Nilmanifold:
         raise UnsupportedManifoldError(f"unknown manifold kind {obj['kind']!r}")
 
 
-def heisenberg_reduce(x, y, z):
-    """Fundamental-domain representative of (x,y,z) Gamma, exact."""
-    x, y, z = lift(x), lift(y), lift(z)
-    fy = y.numerator // y.denominator
-    z = z - x * fy
-    return (frac(x), frac(y), frac(z))
-
-
 # ---------------------------------------------------------------------
 # Polynomial sequences
 
@@ -113,28 +105,17 @@ class PolySequence:
     def degree(self):
         return max((c.degree for c in self.coords), default=0)
 
-    def point(self, Mf, n):
-        """Fundamental-domain coordinates of g(n)Gamma, exact Fractions."""
-        if Mf.kind == "torus":
-            if len(self.coords) != Mf.dim:
-                raise InvalidArgumentError("sequence/manifold dimension mismatch")
-            return tuple(c.eval(n) for c in self.coords)
-        if Mf.kind == "heisenberg":
-            if len(self.coords) != 3:
-                raise InvalidArgumentError("Heisenberg sequences need 3 coordinates")
-            x, y, z = (c.eval_real(n) for c in self.coords)
-            return heisenberg_reduce(x, y, z)
-        raise UnsupportedManifoldError(f"unknown manifold kind {Mf.kind!r}")
-
     def float_points(self, Mf, P):
-        """`point` at every element of P as float coordinates, computed
-        on the integer numerators and divided only at the end."""
+        """Fundamental-domain coordinates of g(n)Gamma at every element
+        n of P, as floats: computed on the integer numerators and divided
+        only at the end."""
         if Mf.kind != "heisenberg":
             return _phase_points(self.coords, P)
         x, y, z = self.coords
         dx, dy, dz = x.den, y.den, z.den
         out = []
-        # heisenberg_reduce: only frac(x) enters z - x*floor(y) mod 1
+        # the representative ({x}, {y}, {z - x*floor(y)}): only {x}
+        # enters the z correction mod 1
         for a, b, c in zip(x.residues(P), y.numerators(P), z.residues(P)):
             fy = b // dy
             zc = (c * dx - a * fy * dz) % (dx * dz)
@@ -297,12 +278,6 @@ def _check_compat(Mf, g, F):
         )
 
 
-def nil_eval(Mf, g, F, n):
-    """F at the fundamental-domain reduction of g(n); |result| <= 1."""
-    _check_compat(Mf, g, F)
-    return F.value(g.point(Mf, n))
-
-
 def _phase_points(phases, P):
     """Float residues of the phases at every element of P, one tuple
     per element."""
@@ -411,7 +386,8 @@ def partition_nilsequence(Mf, g, F, P, eps):
     the per-part value diameter — a sum of per-coordinate oscillations
     — telescopes below eps.  Parts whose true values already fit are
     emitted early, and adjacent parts are re-merged under the
-    exhaustive check.
+    exhaustive check.  The values over P are computed once; every
+    part's check, each merge trial and each witness reads its slice.
 
     Cost model, checked against the work budget before anything is
     built: one point costs c = 1 + sum_j (d_j + 1), the difference
@@ -428,9 +404,10 @@ def partition_nilsequence(Mf, g, F, P, eps):
     d0 = max(Mf.dim, 1)
     level_eps = eps_f / d0
     eps_val = float(eps_f)
+    vals = nil_values(Mf, g, F, P)
 
     def fits(Q):
-        return complex_diam(nil_values(Mf, g, F, Q)) <= eps_val
+        return complex_diam(vals[index_slice(P, Q)]) <= eps_val
 
     def live(Mf2, g2, F2):  # None once no coordinate is left to freeze
         return (Mf2, g2, F2) if F2.factors and Mf2.dim else None
@@ -440,7 +417,7 @@ def partition_nilsequence(Mf, g, F, P, eps):
 
     parts, max_depth = refine(P, live(Mf, g, F), fits, reduce)
     # a single point has diameter 0 (complex_diam's own answer for it)
-    witnesses = [complex_diam(nil_values(Mf, g, F, p)) if p.len > 1 else 0.0 for p in parts]
+    witnesses = [complex_diam(vals[index_slice(P, p)]) if p.len > 1 else 0.0 for p in parts]
     assert all(w <= eps_val + 2**-35 for w in witnesses)
     return PartitionCertificate(
         source=P,

@@ -140,7 +140,10 @@ def _parse_phase(basis, exact, coeffs):
 
 
 def _phase_poly(ph):
-    return _parse_phase(ph["basis"], bool(ph.get("exact", True)), tuple(ph["coeffs"]))
+    exact = ph.get("exact", True)
+    if type(exact) is not bool:  # bool("false") is True: read no string or number as a flag
+        raise InvalidArgumentError(f"exact must be a JSON boolean, got {exact!r}")
+    return _parse_phase(ph["basis"], exact, tuple(ph["coeffs"]))
 
 
 def _horner(T, n):

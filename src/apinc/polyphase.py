@@ -29,7 +29,7 @@ from itertools import accumulate, islice
 from math import factorial, isfinite, isqrt, lcm
 
 from .errors import InvalidArgumentError, PreconditionError
-from .progressions import PartitionCertificate, check_budget, refine, repair, subdivide
+from .progressions import PartitionCertificate, check_budget, index_slice, refine, repair, subdivide
 
 HALF = Fraction(1, 2)
 # strictly below 6/pi^2, so the per-degree budgets sum to < epsilon
@@ -289,15 +289,6 @@ class PolyPhase:
     def __call__(self, n):
         return self.eval(n)
 
-    def eval_real(self, n):
-        """Value at n without mod-1 reduction (exact Fraction).
-
-        Needed when the coefficients describe a real polynomial rather
-        than a phase, e.g. Heisenberg coordinates, where the integer
-        part feeds the nonabelian fundamental-domain correction.
-        """
-        return Fraction(_eval_num(self.num, n), self.den)
-
     # -- arithmetic ----------------------------------------------------
 
     def _binop(self, other, sign):
@@ -341,7 +332,9 @@ class PolyPhase:
 
     @classmethod
     def from_json(cls, obj):
-        exact = bool(obj.get("exact", True))
+        exact = obj.get("exact", True)
+        if type(exact) is not bool:
+            raise InvalidArgumentError(f"exact must be a JSON boolean, got {exact!r}")
         coeffs = [Fraction(c) if exact else float(c) for c in obj["coeffs"]]
         return cls(coeffs, basis=obj["basis"], exact=exact)
 
@@ -483,6 +476,9 @@ def partition_polyphase(phi, P, eps):
     true phase already satisfies the target on it, and adjacent parts
     are greedily re-merged under the exhaustive check afterwards.
 
+    The residues of phi over P are walked once; every part's check, each
+    merge trial and each witness reads its slice of them.
+
     Cost model, checked against the work budget before anything is
     built: a residue list over P walks d + 1 difference levels per point
     (d the declared degree), and the recursion walks such lists once per
@@ -494,9 +490,10 @@ def partition_polyphase(phi, P, eps):
         raise PreconditionError("eps must lie in (0, 1/2]")
     check_budget(P, len(phi.num) ** 2)
     den = phi.den
+    res = phi.residues(P)
 
     def diam_num(Q):
-        return 0 if Q.len == 1 else _diam_num(phi.residues(Q), den)
+        return 0 if Q.len == 1 else _diam_num(res[index_slice(P, Q)], den)
 
     def fits(Q):
         return diam_num(Q) * eps_f.denominator <= eps_f.numerator * den

@@ -115,19 +115,6 @@ class PartitionCertificate:
             "payload": self.payload,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        parts = [Progression.from_json(p) for p in obj["parts"]]
-        return cls(
-            source=Progression.from_json(obj["source"]),
-            parts=parts,
-            epsilon=float(obj["epsilon"]),
-            diam_witness=[float(p["diam"]) for p in obj["parts"]],
-            min_len=int(obj["min_len"]),
-            channel=obj.get("channel", "polyphase"),
-            payload=obj.get("payload", {}),
-        )
-
 
 def subdivide(P, mult, block):
     """Split P into progressions of common difference step(P)*mult.
@@ -153,6 +140,19 @@ def subdivide(P, mult, block):
             parts.append(Progression(P.base + (r + t * mult) * P.step, P.step * mult, ln))
             t += ln
     return parts
+
+
+def index_slice(P, Q):
+    """The slice of P's index line that the sub-progression Q occupies:
+    Q's i-th element is P's element start + i * stride, so an array of
+    values over P sliced by it holds Q's values in Q's order.  Refuses a
+    Q that is not on that line."""
+    start, off = divmod(Q.base - P.base, P.step)
+    stride, rem = divmod(Q.step, P.step)
+    stop = start + (Q.len - 1) * stride
+    if off or rem or stride < 1 or start < 0 or stop >= P.len:
+        raise InvalidArgumentError(f"{Q} is not a sub-progression on the index line of {P}")
+    return slice(start, stop + 1, stride)
 
 
 def merge_parts(parts, fits):

@@ -303,6 +303,36 @@ class TestPartitionAndVerify:
         assert code == 2 and out == ""
         assert json.loads(err)["reason"] == "malformed-certificate"
 
+    # a phase's `exact` flag is a JSON boolean or absent: read with
+    # bool(), "false" would verify the decimal phase 1/10, 3/10 in place
+    # of the doubles the certificate was built from
+    @pytest.mark.parametrize("value", ["false", 0, None, [], "yes"])
+    @pytest.mark.parametrize(
+        "argv, phase_path",
+        [
+            (["partition-phase", "--phase", "0.1 n + 0.3 C(n,2)"], ("payload", "phase")),
+            (["partition-nil", "--manifold", "torus:2", "--seq", "0.1 n + 0.3 C(n,2); 0.7 n",
+              "--fn", "e(x)"], ("payload", "sequence", "coords", 0)),
+        ],
+        ids=["phase", "nil"],
+    )
+    def test_non_boolean_exact_refused(self, tmp_path, capsys, argv, phase_path, value):
+        out_path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, *argv, "--range", "1..200", "--eps", "0.1",
+                         "--out", str(out_path))
+        assert code == 0
+        cert = json.loads(out_path.read_text())
+        phase = cert
+        for key in phase_path:
+            phase = phase[key]
+        assert phase["exact"] is False
+        code, _, _ = self._verify(tmp_path, capsys, cert)
+        assert code == 0
+        phase["exact"] = value
+        code, out, err = self._verify(tmp_path, capsys, cert)
+        assert code == 2 and out == ""
+        assert json.loads(err)["reason"] == "malformed-certificate"
+
     # refused before any list over the range is built
     @pytest.mark.parametrize(
         "argv",

@@ -19,9 +19,7 @@ from apinc.nil import (
     PolySequence,
     complex_diam,
     convex_hull,
-    heisenberg_reduce,
     lipschitz_catalog,
-    nil_eval,
     nil_values,
     partition_nilsequence,
     reduce_dimension,
@@ -35,6 +33,41 @@ SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=32)
+
+
+# Exact references: the reduced point of g(n)Gamma and F there, in Fractions
+
+
+def real_value(phi, n):
+    """phi(n) without the mod-1 reduction, from the exact coefficients
+    it was entered with: sum c_j n^j, or sum c_j C(n, j) with C(n, j)
+    the falling factorial over j!."""
+    if phi.basis == "monomial":
+        return sum(c * n**j for j, c in enumerate(phi.coeffs))
+    return sum(
+        c * math.prod(range(n - j + 1, n + 1)) / math.factorial(j)
+        for j, c in enumerate(phi.coeffs)
+    )
+
+
+def heisenberg_reduce(x, y, z):
+    """Fundamental-domain representative ({x}, {y}, {z - x*floor(y)}) of
+    (x,y,z)Gamma, exact."""
+    fy = math.floor(y)
+    zc = z - x * fy
+    return (x - math.floor(x), y - fy, zc - math.floor(zc))
+
+
+def point(Mf, g, n):
+    """Fundamental-domain coordinates of g(n)Gamma, exact Fractions."""
+    values = [real_value(c, n) for c in g.coords]
+    if Mf.kind == "torus":
+        return tuple(v - math.floor(v) for v in values)
+    return heisenberg_reduce(*values)
+
+
+def nil_eval(Mf, g, F, n):
+    return F.value(point(Mf, g, n))
 
 
 def group_law(a, b):
@@ -68,7 +101,7 @@ class TestSequencesAndEval:
         Mf = Nilmanifold.torus(1)
         g = PolySequence.torus_linear([Fraction(1, 4)])
         F = lipschitz_catalog("e(x)")
-        vals = [nil_eval(Mf, g, F, n) for n in range(4)]
+        vals = nil_values(Mf, g, F, Progression(0, 1, 4))
         expect = [1, 1j, -1, -1j]
         assert all(abs(v - e) < 1e-12 for v, e in zip(vals, expect))
 
@@ -83,8 +116,7 @@ class TestSequencesAndEval:
                 PolyPhase.zero(),
             ]
         )
-        p1 = g.point(Mf, 1)
-        p3 = g.point(Mf, 3)
+        p1, p3 = g.float_points(Mf, Progression(1, 2, 2))
         assert (p1[0], p1[1]) == (p3[0], p3[1])  # same abelian part
         assert p1[2] != p3[2]  # different z after reduction
 
@@ -97,9 +129,11 @@ class TestSequencesAndEval:
                 PolyPhase.monomial([0, Fraction(1, 3)]),
             ]
         )
-        for n in range(8):
-            x, y, z = (c.eval_real(n) for c in g.coords)
-            assert g.point(Mf, n) == heisenberg_reduce(x, y, z)
+        want = [
+            tuple(float(u) for u in heisenberg_reduce(*(real_value(c, n) for c in g.coords)))
+            for n in range(8)
+        ]
+        assert g.float_points(Mf, Progression(0, 1, 8)) == want
 
     @given(
         coeffs=st.lists(
@@ -118,12 +152,15 @@ class TestSequencesAndEval:
         Mf = Nilmanifold.heisenberg() if kind == "heisenberg" else Nilmanifold.torus(3)
         g = PolySequence([PolyPhase.monomial(c) for c in coeffs])
         P = Progression(base, step, length)
-        want = [tuple(float(u) for u in g.point(Mf, n)) for n in P.elements()]
+        want = [tuple(float(u) for u in point(Mf, g, n)) for n in P.elements()]
         assert g.float_points(Mf, P) == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            PolySequence([PolyPhase.zero()]).point(Nilmanifold.torus(2), 1)
+            nil_values(
+                Nilmanifold.torus(2), PolySequence([PolyPhase.zero()]), lipschitz_catalog("const"),
+                Progression(1, 1, 1),
+            )
 
 
 class TestLipschitzFunctions:
@@ -317,6 +354,46 @@ class TestPartitionNilsequence:
         singles = [w for p, w in zip(cert.parts, cert.diam_witness) if p.len == 1]
         assert singles and all(w == 0.0 for w in singles)
         assert lengths and min(lengths) >= 2
+
+    def test_values_computed_once_on_the_root(self, monkeypatch):
+        # every fit check, merge trial and witness reads a slice of the
+        # root's values: nil_values runs once, on P itself
+        calls = []
+        real = nil.nil_values
+
+        def spy(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(nil, "nil_values", spy)
+        g = PolySequence(
+            [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()]
+        )
+        P = Progression(1, 1, 500)
+        cert = partition_nilsequence(
+            Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), P, 0.1
+        )
+        assert cert.num_parts > 1
+        assert calls == [P]
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "torus"])
+    def test_negative_step_source(self, kind):
+        # witnesses sliced from the root's values equal a recompute on
+        # each part, on a source walked downwards
+        if kind == "heisenberg":
+            Mf = Nilmanifold.heisenberg()
+            g = PolySequence(
+                [PolyPhase.monomial([0, Fraction(1, 7)]), PolyPhase.monomial([0, Fraction(1, 500)]),
+                 PolyPhase.zero()]
+            )
+        else:
+            Mf, g = Nilmanifold.torus(2), PolySequence.torus_linear([Fraction(1, 7), SQRT3 / 100])
+        F = lipschitz_catalog("e(x)*cutoff")
+        cert = partition_nilsequence(Mf, g, F, Progression(1500, -3, 400), 0.3)
+        assert verify_certificate(cert)["ok"]
+        assert any(p.len > 1 and p.step < 0 for p in cert.parts)
+        for p, w in zip(cert.parts, cert.diam_witness):
+            assert w == (complex_diam(nil_values(Mf, g, F, p)) if p.len > 1 else 0.0)
 
     def test_budget(self, monkeypatch):
         # torus:1, a linear coordinate, 100 points: 100 * (1 + 2)^2 work units

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apinc.errors import BudgetExceededError, PreconditionError
+from apinc.errors import BudgetExceededError, InvalidArgumentError, PreconditionError
 from apinc.oracle import brute_diam, verify_certificate
 from apinc.polyphase import (
     PolyPhase,
@@ -63,6 +63,14 @@ class TestEval:
         phi = PolyPhase.binomial([Fraction(1, 3), Fraction(2, 7)])
         phi2 = PolyPhase.from_json(phi.to_json())
         assert phi2.coeffs == phi.coeffs and phi2.basis == phi.basis
+
+    @pytest.mark.parametrize("value", ["false", 0, None, [], "yes"])
+    def test_json_exact_must_be_boolean(self, value):
+        obj = PolyPhase.monomial([0, 0.1]).to_json()
+        assert PolyPhase.from_json(obj).exact is False
+        assert PolyPhase.from_json({"basis": "monomial", "coeffs": ["1/3"]}).exact is True
+        with pytest.raises(InvalidArgumentError):
+            PolyPhase.from_json(dict(obj, exact=value))
 
 
 class TestComposeAffine:
@@ -231,6 +239,16 @@ class TestPartition:
         report = verify_certificate(cert.to_json())
         assert report["ok"]
 
+    def test_negative_step_source(self):
+        # witnesses sliced from the root's residues equal a recompute on
+        # each part, on a source walked downwards
+        phi = PolyPhase.binomial([0, Fraction(1, 7), Fraction(1, 50000)])
+        cert = partition_polyphase(phi, Progression(600, -3, 200), 0.2)
+        assert verify_certificate(cert)["ok"]
+        assert any(p.len > 1 and p.step < 0 for p in cert.parts)
+        for p, w in zip(cert.parts, cert.diam_witness):
+            assert w == float(diam_on(phi, p))
+
     def test_rejects_bad_eps(self):
         with pytest.raises(PreconditionError):
             partition_polyphase(PolyPhase.zero(), Progression(1, 1, 10), 0.9)
@@ -346,7 +364,7 @@ class TestKernel:
         assert list(phi.in_basis("binomial").coeffs) == alphas
         assert phi.degree == max((j for j in range(1, d + 1) if alphas[j].denominator > 1), default=0)
         other = phi.in_basis("monomial" if basis == "binomial" else "binomial")
-        assert other.eval_real(n) == ref_value(coeffs, basis, n)
+        assert ref_value(other.coeffs, other.basis, n) == ref_value(coeffs, basis, n)
 
     @given(
         ph=phases(),
@@ -371,5 +389,5 @@ class TestKernel:
     def test_compose_rational(self, ph, a, b, m):
         coeffs, basis = ph
         psi = PolyPhase(coeffs, basis).compose_affine_frac(a, b)
-        assert psi.eval_real(m) == ref_value(coeffs, basis, a * m + b)
+        assert ref_value(psi.coeffs, psi.basis, m) == ref_value(coeffs, basis, a * m + b)
         assert psi.basis == basis and psi.declared_degree == len(coeffs) - 1
