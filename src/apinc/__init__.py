@@ -49,7 +49,6 @@ from .nil import (
 from .oracle import brute_ap_count, brute_gowers, max_ap_free, verify_certificate
 from .polyphase import (
     PolyPhase,
-    compose_affine,
     diam_on,
     partition_polyphase,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "brute_ap_count",
     "brute_gowers",
     "catalog_inverse",
-    "compose_affine",
     "density_increment_step",
     "diam_on",
     "find_ap",

@@ -194,8 +194,17 @@ def cmd_roth(args):
     emit(outcome.to_json())
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are invalid input (exit 4),
+    not argparse's exit 2, which is a failed verification here.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="apinc",
         description="arithmetic-progression partitions, Gowers norms, density increments",
     )
@@ -244,8 +253,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
         return EXIT_OK
     except CertificateError as e:

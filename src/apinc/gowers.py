@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, charge
 from .polyphase import PolyPhase
-from .progressions import Progression
 
 TOL = 2.0**-30
 
@@ -140,10 +139,6 @@ class InverseWitness:
     phase: PolyPhase
     M: int
     correlation: float
-
-    def recompute(self, f):
-        res = np.array(self.phase.residues(Progression(0, 1, self.M)), dtype=float)
-        return abs(np.mean(f.values * np.exp(-2j * np.pi * res / self.phase.den)))
 
 
 def m_embed(N, k):

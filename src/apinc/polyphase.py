@@ -343,13 +343,6 @@ class PolyPhase:
         return f"PolyPhase({self.basis}; {cs})"
 
 
-def compose_affine(phi, a, b):
-    """Phase psi with psi(m) = phi(a*m + b), a and b integers."""
-    if not isinstance(a, int) or not isinstance(b, int):
-        raise InvalidArgumentError("compose_affine takes integer a, b")
-    return phi.compose_affine_frac(a, b)
-
-
 # ---------------------------------------------------------------------
 # Diameter on the circle
 
@@ -398,17 +391,21 @@ def _strip_leading(phi, Q, s, loc):
     return PolyPhase._from_kernel(den, _differences(vals), "monomial", phi.exact)
 
 
-def _companion(phi, s, dl, theta, R):
+def _companion(phi, s, dl, theta, tested, R):
     """The degree < s companion psi of phi on R, or None when phi - psi
     leaves a diameter above theta on R.  A length-1 part always passes,
-    with the constant phi(R.base) as its companion."""
+    with the constant phi(R.base) as its companion.  `tested` memoises
+    the tail check on (tail, R.len), the only inputs it reads for fixed
+    s, dl and theta; at the top degree the tail does not depend on the
+    part's base, so equal blocks share one check."""
     if R.len == 1:
         return PolyPhase._from_kernel(phi.den, [phi.residue(R.base)], "monomial", phi.exact)
     loc = _local_monomial(phi, R)
     # phi - psi on R is the local tail sum_{i>=s} loc[i] t^i
-    if _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta):
-        return _strip_leading(phi, R, s, loc)
-    return None
+    key = (tuple(loc[s:]), R.len)
+    if key not in tested:
+        tested[key] = _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta)
+    return _strip_leading(phi, R, s, loc) if tested[key] else None
 
 
 def _block_len(ratio_floor, s, length, n_w):
@@ -463,7 +460,7 @@ def reduce_degree_partition(phi, P, theta_target):
 
     # a module-level check, not a closure: closing over s and dl would
     # turn them into cells and slow the Weyl scan above
-    return repair(subdivide(P, n_w, ell), partial(_companion, phi, s, dl, theta))
+    return repair(subdivide(P, n_w, ell), partial(_companion, phi, s, dl, theta, {}))
 
 
 def partition_polyphase(phi, P, eps):

@@ -216,9 +216,13 @@ def refine(P, root, fits, reduce):
     A part Q reached in state `state` is kept when the state is None
     (nothing is left to reduce), Q.len == 1 or fits(Q); otherwise
     `reduce(state, Q)` cuts it into [(R, child)] pairs and each R is
-    refined in its child state.  The kept parts are re-merged under
-    `fits`.  Returns the parts in base order and the deepest level
-    reached (P is level 0).
+    refined in its child state.  A failing part of length 2 becomes its
+    two points without a call to `reduce`: the channels' level budgets
+    sum to at most the fit bound, so a part that fails `fits` does not
+    end its reductions whole (the nil channel's float slack aside), and
+    two points split only one way.  The kept
+    parts are re-merged under `fits`.  Returns the parts in base order and the
+    deepest level reached (P is level 0).
     """
     parts, depth = [], 0
 
@@ -228,6 +232,9 @@ def refine(P, root, fits, reduce):
             parts.append(Q)
         else:
             depth = max(depth, level + 1)
+            if Q.len == 2:
+                parts.extend((Progression(Q.base, Q.step, 1), Progression(Q.last, Q.step, 1)))
+                return
             for R, child in reduce(state, Q):
                 visit(R, child, level + 1)
 

@@ -61,6 +61,31 @@ class TestParsing:
             parse_range("5-9")
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["count", "--set", "A.json", "--k", "three"], []],
+        ids=["verify-without-cert", "k-not-an-integer", "no-subcommand"],
+    )
+    def test_usage_error_is_invalid_input(self, capsys, argv):
+        # argparse's own exit 2 would read as a failed verification
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "invalid-argument"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 0
+        assert "usage: apinc" in capsys.readouterr().out
+
+    def test_negative_range_with_equals(self, capsys):
+        code, _, err = run(capsys, "partition-phase", "--phase", "1/8 n", "--range=-5..5",
+                           "--eps", "0.05")
+        assert code == 0 and json.loads(err.strip().splitlines()[-1])["min_len"] == 1
+
+
 class TestCount:
     def test_interval(self, tmp_path, capsys):
         p = write_json(tmp_path / "a.json", DenseSet(8, range(1, 9)).to_json())

@@ -143,6 +143,35 @@ class TestVerify:
             verify_certificate(cert)
         assert ei.value.reason == "coverage-excess"
 
+    @pytest.mark.parametrize(
+        "huge, replace",
+        [
+            ({"base": 65, "step": 1, "len": 10**12}, False),
+            ({"base": 1, "step": 1, "len": 10**12}, True),
+            ({"base": 64, "step": -1, "len": 10**12}, True),
+            ({"base": 1, "step": 7, "len": 10**12}, False),
+        ],
+        ids=["beyond-source", "over-source", "downwards", "overlapping"],
+    )
+    def test_huge_part_refused_without_listing(self, huge, replace):
+        # the walks stop one point past the source's room, so a part of
+        # 10^12 points costs about 65 and is never built as a list
+        import tracemalloc
+
+        cert = copy.deepcopy(_sample_cert())
+        cert["parts"] = [] if replace else cert["parts"]
+        cert["parts"].append(dict(huge, diam=0.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificateError) as ei:
+                verify_certificate(cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = "parts-not-disjoint" if huge["step"] == 7 else "coverage-excess"
+        assert ei.value.reason == want
+        assert peak < 2**20
+
     def test_min_len_inflated(self):
         cert = copy.deepcopy(_sample_cert())
         cert["min_len"] = max(p["len"] for p in cert["parts"]) + 1

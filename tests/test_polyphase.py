@@ -2,15 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apinc.errors import BudgetExceededError, InvalidArgumentError, PreconditionError
 from apinc.oracle import brute_diam, verify_certificate
 from apinc.polyphase import (
+    BUDGET_WEIGHT,
     PolyPhase,
     circle_diam,
-    compose_affine,
     diam_on,
     partition_polyphase,
     reduce_degree_partition,
@@ -22,6 +22,13 @@ GOLDEN = 0.6180339887498949  # frac((sqrt(5)-1)/2), as a double
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=64
 )
+
+
+def compose_affine(phi, a, b):
+    """Reference: the phase m -> phi(a*m + b) for integers a and b,
+    through the kernel's rational composition."""
+    assert isinstance(a, int) and isinstance(b, int)
+    return phi.compose_affine_frac(a, b)
 
 
 class TestEval:
@@ -177,6 +184,44 @@ class TestReduceDegree:
             assert brute_diam_phase(phi - psi, part) <= theta
         assert sorted(covered) == sorted(P.elements())
 
+    @given(
+        coeffs=st.lists(rationals, min_size=2, max_size=3),
+        top=st.one_of(st.none(), st.integers(1, 5)),
+        length=st.integers(4, 200),
+        theta=st.fractions(min_value=Fraction(1, 256), max_value=Fraction(1, 4), max_denominator=256),
+        base=st.integers(-(10**6), 10**6),
+        step=st.sampled_from([1, 2, -1, -3, 7]),
+    )
+    @example(  # a failed block's first half passes where the block did not
+        coeffs=[Fraction(-9, 2), Fraction(-153, 46), Fraction(216, 25)],
+        top=1,
+        length=21,
+        theta=Fraction(7, 32),
+        base=619077,
+        step=1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tail_memo_changes_nothing(self, coeffs, top, length, theta, base, step):
+        # the memo on (tail, part length) gives the parts and companions
+        # of a fresh tail check per part.  An integer top binomial
+        # coefficient leaves a tail the block length does not bound, so
+        # blocks fail and are halved, and a first half shares its tail
+        import apinc.polyphase as polyphase
+
+        phi = PolyPhase.binomial(coeffs + ([] if top is None else [top]))
+        P = Progression(base, step, length)
+        memo = reduce_degree_partition(phi, P, theta)
+        companion = polyphase._companion
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                polyphase,
+                "_companion",
+                lambda phi, s, dl, theta, tested, R: companion(phi, s, dl, theta, {}, R),
+            )
+            fresh = reduce_degree_partition(phi, P, theta)
+        assert [(R, psi.den, psi.num) for R, psi in memo] == [
+            (R, psi.den, psi.num) for R, psi in fresh
+        ]
 
     def test_singleton_companion_is_the_point_value(self):
         # a length-1 part gets the constant phi(base), not a stripped phase
@@ -262,6 +307,76 @@ class TestPartition:
         monkeypatch.setenv("APINC_BUDGET", "899")
         with pytest.raises(BudgetExceededError):
             partition_polyphase(phi, P, 0.1)
+
+
+def reduced_leaves(phi, Q, eps):
+    """The parts that the recursion keeps from Q when every part that
+    fails its fit check is cut by `reduce_degree_partition`, down to a
+    constant companion, with no shortcut for a failing pair."""
+    theta = [eps * BUDGET_WEIGHT / s**2 for s in range(1, phi.degree + 1)]
+    leaves = []
+
+    def visit(R, phase):
+        if R.len == 1 or diam_on(phi, R) <= eps or phase.degree == 0:
+            leaves.append(R)
+        else:
+            for S, child in reduce_degree_partition(phase, R, theta[phase.degree - 1]):
+                visit(S, child)
+
+    visit(Q, phi)
+    return leaves
+
+
+class TestFailingPair:
+    @given(
+        coeffs=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=10**6), min_size=2, max_size=4
+        ),
+        top=st.sampled_from([1, Fraction(1, 1000)]),
+        base=st.integers(-(10**12), 10**12),
+        step=st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6)).filter(bool),
+        eps=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 2), max_denominator=1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reductions_leave_only_points(self, coeffs, top, base, step, eps):
+        # the skeleton splits a failing pair without reducing it: every
+        # reduction of that pair ends in the same two points.  A small
+        # top coefficient and step make some reductions keep the pair
+        # whole with a lower-degree companion before a later one splits it
+        phi = PolyPhase.binomial(coeffs[:-1] + [coeffs[-1] * top])
+        Q = Progression(base, step, 2)
+        assume(1 <= phi.degree and diam_on(phi, Q) > eps)
+        leaves = reduced_leaves(phi, Q, eps)
+        assert sorted(R.base for R in leaves) == sorted(Q.elements())
+        assert all(R.len == 1 for R in leaves)
+        points = partition_polyphase(phi, Q, eps).parts
+        assert points == sorted(leaves, key=lambda R: R.base)
+
+
+def test_criterion_5_input_reduces_once(monkeypatch):
+    # the degree-2 Weyl step cuts 1..20000 into blocks of length <= 2:
+    # those that fail split in the skeleton, so the root is the only
+    # reduction, and equal blocks share one tail check
+    import apinc.polyphase as polyphase
+
+    reduced, tails = [], []
+    reduce, within = polyphase.reduce_degree_partition, polyphase._within
+
+    def spy_reduce(phi, P, theta):
+        reduced.append(P)
+        return reduce(phi, P, theta)
+
+    def spy_within(num, den, length, bound):
+        tails.append((tuple(num), den, length, bound))
+        return within(num, den, length, bound)
+
+    monkeypatch.setattr(polyphase, "reduce_degree_partition", spy_reduce)
+    monkeypatch.setattr(polyphase, "_within", spy_within)
+    P = Progression(1, 1, 20000)
+    cert = partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), P, 0.05)
+    assert reduced == [P]
+    assert 0 < len(tails) == len(set(tails))
+    assert cert.num_parts == 18733
 
 
 def test_oracle_brute_diam_agrees():

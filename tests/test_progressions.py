@@ -227,6 +227,33 @@ class TestSkeleton:
         merged = [Progression(0, 1, 6), Progression(0, 1, 8)]
         assert checked == visited + merged
 
+    @pytest.mark.parametrize("step", [3, -3])
+    def test_refine_splits_a_failing_pair_without_reduce(self, step):
+        calls = []
+
+        def halve(state, Q):
+            calls.append(Q)
+            h = Q.len // 2
+            return [
+                (Progression(Q.base, Q.step, h), state),
+                (Progression(Q.base + h * Q.step, Q.step, Q.len - h), state),
+            ]
+
+        def fits(Q):
+            return Q.len == 1
+
+        points = [Progression(x, step, 1) for x in (10, 10 + step)]
+        # a live pair that fails fits becomes its two points at level 1
+        pair = Progression(10, step, 2)
+        assert refine(pair, "live", fits, halve) == (sorted(points, key=lambda R: R.base), 1)
+        assert calls == []
+        # the halves of a failing 4-point part split the same way; only
+        # the 4-point part is reduced, and the depth still counts level 2
+        P = Progression(10, step, 4)
+        parts, depth = refine(P, "live", fits, halve)
+        assert parts == [Progression(x, step, 1) for x in sorted(P.elements())]
+        assert (calls, depth) == ([P], 2)
+
 
 class TestCertificateType:
     def test_min_len_auto(self):
