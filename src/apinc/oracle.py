@@ -7,6 +7,12 @@ sweeps and complex ones pairwise scans, Gowers norms are the literal
 cube sums, and certificates are verified structurally by
 element enumeration.  These are the oracles behind every derived test
 value and behind `apinc verify`.
+
+A nilsequence point is built from integers too: each coordinate is the
+exact Horner value of its phase over the phase's denominator, reduced to
+the fundamental domain in integers and rounded to float once.  The
+verifier parses a certificate's payload once, and evaluates nothing on a
+one-point part, whose diameter is 0.
 """
 
 import cmath
@@ -153,17 +159,6 @@ def _horner(T, n):
     return acc
 
 
-def _phase_value(ph, n):
-    """Residue in [0,1) of the serialized phase at n (exact)."""
-    D, T = _phase_poly(ph)
-    return Fraction(_horner(T, n) % D, D)
-
-
-def _phase_value_real(ph, n):
-    D, T = _phase_poly(ph)
-    return Fraction(_horner(T, n), D)
-
-
 def _circle_sweep(u, D):
     """Largest circle distance min(d, D - d), d = b - a, over pairs a < b
     of the sorted residues u in [0, D).  For each a the distance grows
@@ -182,74 +177,102 @@ def _circle_sweep(u, D):
     return best
 
 
-def _ffrac(x):
-    return x - (x.numerator // x.denominator)
+def _torus_point(coords, n):
+    return [(_horner(T, n) % D) / D for D, T in coords]
 
 
-def _heisenberg_reduce(x, y, z):
-    """Fundamental-domain representative: reduce x, y to [0,1) by right
-    lattice multiplication, correcting z by the group law, then reduce z."""
-    fy = _ffrac(y)
-    zc = z - x * (y.numerator // y.denominator)
-    fx = _ffrac(x)
-    return fx, fy, _ffrac(zc)
+def _heisenberg_point(coords, n):
+    """Fundamental-domain representative of the point (a/Dx, b/Dy, c/Dz):
+    x and y reduced to [0,1) by right lattice multiplication, z corrected
+    by the group law, z - x*floor(y), then reduced.  Each coordinate is an
+    exact residue over its denominator, rounded to float once."""
+    (Dx, Tx), (Dy, Ty), (Dz, Tz) = coords
+    a, b, c = _horner(Tx, n), _horner(Ty, n), _horner(Tz, n)
+    fy = b // Dy
+    return (a % Dx) / Dx, (b % Dy) / Dy, ((c * Dx - a * fy * Dz) % (Dx * Dz)) / (Dx * Dz)
 
 
-def _fn_value(fn, coords):
-    val = complex(fn.get("prefactor_re", 1.0), fn.get("prefactor_im", 0.0))
-    for fac in fn["factors"]:
-        u = float(coords[fac["coord"]]) + float(fac.get("shift", 0.0))
-        kind = fac["kind"]
-        if kind == "bump":
-            val *= math.cos(math.pi * u) ** 2
-        else:
-            w = cmath.exp(2j * math.pi * fac.get("k", 1) * u)
-            if kind == "exp":
-                val *= w
-            elif kind == "exp_re":
-                val *= w.real
-            elif kind == "exp_im":
-                val *= w.imag
-            else:
-                raise InvalidArgumentError(f"unknown factor kind {kind!r}")
-    return val
-
-
-def _nil_channel_value(payload, n):
-    mf = payload["manifold"]
-    seq = payload["sequence"]["coords"]
-    if mf["kind"] == "torus":
-        coords = [_phase_value(ph, n) for ph in seq]
-    elif mf["kind"] == "heisenberg":
-        x = _phase_value_real(seq[0], n)
-        y = _phase_value_real(seq[1], n)
-        z = _phase_value_real(seq[2], n)
-        coords = list(_heisenberg_reduce(x, y, z))
+def _nil_value_fn(payload):
+    """Parse a nilsequence payload once; returns value(n), its function's
+    complex value at the serialized point of n."""
+    kind, seq = payload["manifold"]["kind"], payload["sequence"]["coords"]
+    if kind == "torus":
+        coords, point = [_phase_poly(ph) for ph in seq], _torus_point
+    elif kind == "heisenberg":
+        coords, point = [_phase_poly(seq[i]) for i in range(3)], _heisenberg_point
     else:
-        raise InvalidArgumentError(f"unknown manifold kind {mf['kind']!r}")
-    return _fn_value(payload["function"], coords)
+        raise InvalidArgumentError(f"unknown manifold kind {kind!r}")
+    fn = payload["function"]
+    prefactor = complex(fn.get("prefactor_re", 1.0), fn.get("prefactor_im", 0.0))
+    factors = []
+    for fac in fn["factors"]:
+        coord, k, fkind = fac["coord"], fac.get("k", 1), fac["kind"]
+        shift = float(fac.get("shift", 0.0))
+        # a bool is an int to Python and a negative index reads from the end
+        if type(coord) is not int or not 0 <= coord < len(coords):
+            raise InvalidArgumentError(f"coord must be an integer in [0, {len(coords)}), got {coord!r}")
+        if type(k) is not int:
+            raise InvalidArgumentError(f"k must be an integer, got {k!r}")
+        if fkind not in ("bump", "exp", "exp_re", "exp_im"):
+            raise InvalidArgumentError(f"unknown factor kind {fkind!r}")
+        if not math.isfinite(shift):
+            raise InvalidArgumentError(f"shift must be finite, got {shift!r}")
+        factors.append((coord, fkind, 2j * math.pi * k, shift))
+    # a NaN value hides from the pairwise scan's max()
+    if not cmath.isfinite(prefactor):
+        raise InvalidArgumentError(f"prefactor must be finite, got {prefactor!r}")
+
+    def value(n):
+        u = point(coords, n)
+        val = prefactor
+        for coord, fkind, freq, shift in factors:
+            x = u[coord] + shift
+            if fkind == "bump":
+                val *= math.cos(math.pi * x) ** 2
+            else:
+                w = cmath.exp(freq * x)
+                val *= w if fkind == "exp" else w.real if fkind == "exp_re" else w.imag
+        return val
+
+    return value
+
+
+def _parse_channel(channel_payload, channel):
+    """Parse a serialized channel once; returns diam(ns), its exhaustive
+    diameter over the points ns.
+
+    Polyphase channel: circle metric, exact sorted sweep over integer
+    residues.  Nilsequence channel: complex-modulus metric, pairwise scan.
+    """
+    if channel == "polyphase":
+        D, T = _phase_poly(channel_payload["phase"])
+        return lambda ns: Fraction(_circle_sweep(sorted({_horner(T, n) % D for n in ns}), D), D)
+    if channel == "nilsequence":
+        value = _nil_value_fn(channel_payload)
+
+        def diam(ns):
+            vals = np.array([value(n) for n in ns])
+            best = 0.0
+            for i in range(len(vals)):
+                best = max(best, float(np.max(np.abs(vals[i:] - vals[i]))))
+            return best
+
+        return diam
+    raise InvalidArgumentError(f"unknown channel {channel!r}")
 
 
 def brute_diam(channel_payload, P, channel="polyphase"):
     """Exhaustive diameter of a serialized channel over a progression.
 
-    Polyphase channel: circle metric, exact sorted sweep over integer
-    residues.  Nilsequence channel: complex-modulus metric, pairwise scan.
+    `channel_payload` is the certificate's payload, or the diam function
+    `_parse_channel` made of it.  Charges `P.len` points and, on the
+    nilsequence channel, `L(L-1)/2` pairs against the work budget.
     """
-    if P.len > 10**6:
-        raise BudgetExceededError("brute_diam limited to len <= 10^6")
-    ns = P.elements()
-    if channel == "polyphase":
-        D, T = _phase_poly(channel_payload["phase"])
-        vals = sorted({_horner(T, n) % D for n in ns})
-        return Fraction(_circle_sweep(vals, D), D)
+    charge(P.len, f"diameter over {P.len} points")
     if channel == "nilsequence":
-        vals = np.array([_nil_channel_value(channel_payload, n) for n in ns])
-        best = 0.0
-        for i in range(len(vals)):
-            best = max(best, float(np.max(np.abs(vals[i:] - vals[i]))))
-        return best
-    raise InvalidArgumentError(f"unknown channel {channel!r}")
+        charge(P.len * (P.len - 1) // 2, "pairwise nilsequence diameter")
+    diam = channel_payload if callable(channel_payload) else _parse_channel(channel_payload, channel)
+    return diam(P.elements())
 
 
 # ---------------------------------------------------------------------
@@ -264,12 +287,13 @@ def verify_certificate(cert):
     Checks disjointness, exact coverage of the source, the minimum part
     length, and recomputes every diameter witness with the independent
     channel evaluator, after charging a nilsequence certificate's pairwise
-    scans (L(L-1)/2 per part of length L) against the work budget.
-    Raises CertificateError with a machine-readable
+    scans (L(L-1)/2 per part of length L) against the work budget.  A
+    one-point part's diameter is 0 without evaluation; its witness is
+    still compared.  Raises CertificateError with a machine-readable
     reason on the first violation ("malformed-certificate" when a field
-    it reads is missing, unreadable or not finite, or a count or
-    progression field is not an integer); returns a report dict on
-    success.
+    it reads is missing, unreadable or not finite, or a count,
+    progression field, factor coord or k is not an integer); returns a
+    report dict on success.
     """
     if hasattr(cert, "to_json"):
         cert = cert.to_json()
@@ -280,30 +304,16 @@ def verify_certificate(cert):
         eps, min_len = float(cert["epsilon"]), cert["min_len"]
         if type(min_len) is not int:
             raise InvalidArgumentError(f"min_len must be an integer, got {min_len!r}")
-        numbers = [eps, *stored]
         channel, payload = cert.get("channel", "polyphase"), cert["payload"]
-        # one channel value parses the payload's phase, or its manifold,
-        # sequence and function
-        if channel == "polyphase":
-            _phase_value(payload["phase"], source.base)
-        elif channel == "nilsequence":
-            _nil_channel_value(payload, source.base)
-            fn = payload["function"]
-            numbers += [float(fn.get("prefactor_re", 1.0)), float(fn.get("prefactor_im", 0.0))]
-            for fac in fn["factors"]:
-                numbers += [float(fac.get("k", 1)), float(fac.get("shift", 0.0))]
-        else:
-            raise CertificateError("malformed-certificate", f"unknown channel {channel!r}")
+        diam = _parse_channel(payload, channel)  # parsed once for every part
+        diam([source.base])  # and one value evaluated
     except (
         InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
     ) as e:
         raise CertificateError("malformed-certificate", f"unreadable certificate: {e!r}") from e
-    # NaN and infinity pass every comparison below, and a function value
-    # NaN hides from the pairwise scan's max(): refuse them
-    if not all(map(math.isfinite, numbers)):
-        raise CertificateError(
-            "malformed-certificate", "epsilon, every diam and the function's numbers must be finite"
-        )
+    # NaN and infinity pass every comparison below: refuse them
+    if not all(map(math.isfinite, [eps, *stored])):
+        raise CertificateError("malformed-certificate", "epsilon and every diam must be finite")
     charge(source.len, f"verification of {source.len} points")
 
     # disjoint parts inside the source hold at most source.len points,
@@ -342,7 +352,8 @@ def verify_certificate(cert):
 
     witnesses = []
     for pi, (p, w) in enumerate(zip(parts, stored)):
-        d = float(brute_diam(payload, p, channel=channel))
+        # a one-point part has diameter 0: its witness is still compared
+        d = float(brute_diam(diam, p, channel=channel)) if p.len > 1 else 0.0
         if d > eps + VERIFY_TOL:
             raise CertificateError(
                 "diam-exceeds-epsilon",

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import json
 import math
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apinc import oracle
 from apinc.errors import BudgetExceededError, CertificateError
 from apinc.gowers import DenseSet, GroupFunction
 from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, partition_nilsequence
 from apinc.oracle import (
+    VERIFY_TOL,
+    _nil_value_fn,
     brute_ap_count,
     brute_diam,
     brute_gowers,
@@ -311,3 +315,253 @@ def test_brute_diam_sweep_matches_pairwise():
                      for j in range(deg + 1)]
         vals = [sum(Fraction(c) * t(n) for c, t in zip(coeffs, terms)) for n in P.elements()]
         assert brute_diam({"phase": phi.to_json()}, P) == _pairwise_circle_diam(vals), (L, basis, coeffs)
+
+
+# ---------------------------------------------------------------------
+# Exact Fraction reference for the verifier's integer points
+
+
+def _phase_value_real(ph, n):
+    """phi(n) without the mod-1 reduction, exact, from the serialized
+    coefficients: sum c_j n^j, or sum c_j C(n, j) with C(n, j) the
+    falling factorial over j!."""
+    cs = [Fraction(c) if ph["exact"] else Fraction(float(c)) for c in ph["coeffs"]]
+    if ph["basis"] == "monomial":
+        return sum(c * n**j for j, c in enumerate(cs))
+    return sum(c * math.prod(n - i for i in range(j)) / math.factorial(j) for j, c in enumerate(cs))
+
+
+def _ffrac(x):
+    return x - (x.numerator // x.denominator)
+
+
+def _heisenberg_reduce(x, y, z):
+    """Fundamental-domain representative: reduce x, y to [0,1) by right
+    lattice multiplication, correcting z by the group law, then reduce z."""
+    return _ffrac(x), _ffrac(y), _ffrac(z - x * (y.numerator // y.denominator))
+
+
+def _reference_value(payload, n):
+    """The function's value at the reduced point of n: Fraction
+    coordinates, each rounded to float once, then the catalog factors."""
+    reals = [_phase_value_real(ph, n) for ph in payload["sequence"]["coords"]]
+    if payload["manifold"]["kind"] == "heisenberg":
+        coords = _heisenberg_reduce(*reals)
+    else:
+        coords = [_ffrac(v) for v in reals]
+    fn = payload["function"]
+    val = complex(fn["prefactor_re"], fn["prefactor_im"])
+    for fac in fn["factors"]:
+        u = float(coords[fac["coord"]]) + float(fac["shift"])
+        if fac["kind"] == "bump":
+            val *= math.cos(math.pi * u) ** 2
+        else:
+            w = cmath.exp(2j * math.pi * fac["k"] * u)
+            val *= {"exp": w, "exp_re": w.real, "exp_im": w.imag}[fac["kind"]]
+    return val
+
+
+@st.composite
+def _serialized_phase(draw):
+    deg = draw(st.integers(1, 2))
+    exact = draw(st.booleans())
+    if exact:
+        coeffs = [
+            f"{draw(st.integers(-(10**7), 10**7))}/{draw(st.integers(1, 10**6))}"
+            for _ in range(deg + 1)
+        ]
+    else:
+        coeffs = [repr(draw(st.floats(-10, 10, allow_nan=False))) for _ in range(deg + 1)]
+    basis = draw(st.sampled_from(["monomial", "binomial"]))
+    return {"basis": basis, "coeffs": coeffs, "exact": exact}
+
+
+@st.composite
+def _nil_payload(draw):
+    kind = draw(st.sampled_from(["heisenberg", "torus:1", "torus:2"]))
+    dim = 3 if kind == "heisenberg" else int(kind[-1])
+    factors = draw(st.lists(
+        st.fixed_dictionaries({
+            "coord": st.integers(0, dim - 1),
+            "kind": st.sampled_from(["exp", "exp_re", "exp_im", "bump"]),
+            "k": st.integers(-3, 3),
+            "shift": st.floats(-1, 1, allow_nan=False),
+        }),
+        min_size=1, max_size=4,
+    ))
+    return {
+        "manifold": {"kind": kind.split(":")[0], "dim": dim},
+        "sequence": {"coords": [draw(_serialized_phase()) for _ in range(dim)]},
+        "function": {
+            "prefactor_re": draw(st.floats(-2, 2, allow_nan=False)),
+            "prefactor_im": draw(st.floats(-2, 2, allow_nan=False)),
+            "factors": factors,
+        },
+    }
+
+
+@given(payload=_nil_payload(), ns=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_integer_points_bit_identical_to_fractions(payload, ns):
+    value = _nil_value_fn(payload)
+    got = np.array([value(n) for n in ns], dtype=complex)
+    want = np.array([_reference_value(payload, n) for n in ns], dtype=complex)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
+
+
+def test_brute_diam_negative_step_nil_pinned():
+    # every coordinate read, z through the group law's correction
+    payload = {
+        "manifold": {"kind": "heisenberg", "dim": 3},
+        "sequence": {"coords": [
+            PolyPhase.binomial([0, "1/1000", "1/3"]).to_json(),
+            PolyPhase.monomial([0, "7/1000"]).to_json(),
+            PolyPhase.binomial([0, 0.0001]).to_json(),
+        ]},
+        "function": {"prefactor_re": 1.0, "prefactor_im": 0.0, "factors": [
+            {"coord": 0, "kind": "exp", "k": 1, "shift": 0.0},
+            {"coord": 1, "kind": "bump", "k": 1, "shift": 0.25},
+            {"coord": 2, "kind": "exp_im", "k": 2, "shift": 0.0},
+        ]},
+    }
+    P = Progression(700, -3, 40)
+    d = brute_diam(payload, P, channel="nilsequence")
+    assert d == 1.10077100053851
+    vals = [_reference_value(payload, n) for n in P.elements()]
+    assert abs(d - max(abs(a - b) for a in vals for b in vals)) < 1e-15
+
+
+def _one_part_cert(channel, payload, P, diam, eps):
+    return {
+        "channel": channel, "source": P.to_json(), "epsilon": eps, "min_len": P.len,
+        "parts": [dict(P.to_json(), diam=diam)], "payload": payload,
+    }
+
+
+def _torus1(phase, factors):
+    return {
+        "manifold": {"kind": "torus", "dim": 1},
+        "sequence": {"coords": [phase.to_json()]},
+        "function": {"prefactor_re": 1.0, "prefactor_im": 0.0, "factors": factors},
+    }
+
+
+_E_X = [{"coord": 0, "kind": "exp", "k": 1, "shift": 0.0}]
+
+
+class TestBruteDiamBudget:
+    def test_million_point_certificate_verifies(self):
+        # over 10^6 points: the default budget is the only limit
+        P = Progression(1, 1, 10**6 + 1)
+        payload = {"phase": PolyPhase.monomial([0, 1]).to_json()}
+        report = verify_certificate(_one_part_cert("polyphase", payload, P, 0.0, 0.1))
+        assert report["ok"] and report["min_len"] == 10**6 + 1
+
+    def test_points_charged(self, monkeypatch):
+        payload = {"phase": PolyPhase.monomial([0, "1/4"]).to_json()}
+        P = Progression(1, 1, 1000)
+        monkeypatch.setenv("APINC_BUDGET", "1000")
+        assert brute_diam(payload, P) == Fraction(1, 2)
+        monkeypatch.setenv("APINC_BUDGET", "999")
+        with pytest.raises(BudgetExceededError):
+            brute_diam(payload, P)
+
+    def test_nil_pairs_charged(self, monkeypatch):
+        payload = _torus1(PolyPhase.monomial([0, "1/2"]), _E_X)
+        P = Progression(1, 1, 100)
+        monkeypatch.setenv("APINC_BUDGET", "4950")
+        assert brute_diam(payload, P, channel="nilsequence") == 2.0
+        monkeypatch.setenv("APINC_BUDGET", "4949")
+        with pytest.raises(BudgetExceededError):
+            brute_diam(payload, P, channel="nilsequence")
+
+
+def _heisenberg_cert(N=500):
+    g = PolySequence(
+        [PolyPhase.monomial([0, math.sqrt(2)]), PolyPhase.monomial([0, math.sqrt(3)]), PolyPhase.zero()]
+    )
+    return partition_nilsequence(
+        Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), Progression(1, 1, N), 0.1
+    ).to_json()
+
+
+def _phase_cert():
+    phi = PolyPhase.monomial([0, math.sqrt(2), math.sqrt(3) / 2])
+    return partition_polyphase(phi, Progression(1, 1, 600), 0.05).to_json()
+
+
+class TestFactorFields:
+    # a bool is an int to Python and a negative index reads from the end:
+    # "coord": true would read y, and -2 would read x
+    @pytest.mark.parametrize("coord", [True, -1, -2, 1.0, 3, "1"])
+    def test_coord_must_name_a_coordinate(self, coord):
+        cert = _heisenberg_cert(40)
+        cert["payload"]["function"]["factors"][1]["coord"] = coord
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(cert)
+        assert ei.value.reason == "malformed-certificate"
+
+    @pytest.mark.parametrize("k", [True, 0.5])
+    def test_k_must_be_an_integer(self, k):
+        cert = _heisenberg_cert(40)
+        cert["payload"]["function"]["factors"][0]["k"] = k
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(cert)
+        assert ei.value.reason == "malformed-certificate"
+
+
+class TestOnePointParts:
+    def _spy(self, monkeypatch):
+        calls = []
+        real = oracle.brute_diam
+
+        def spy(payload, P, channel="polyphase"):
+            calls.append(P)
+            return real(payload, P, channel=channel)
+
+        monkeypatch.setattr(oracle, "brute_diam", spy)
+        return calls
+
+    def test_heisenberg_singletons_not_evaluated(self, monkeypatch):
+        cert = _heisenberg_cert()
+        assert all(p["len"] == 1 for p in cert["parts"])
+        calls = self._spy(monkeypatch)
+        assert verify_certificate(cert)["ok"]
+        assert calls == []
+
+    def test_one_call_per_longer_part(self, monkeypatch):
+        cert = _phase_cert()
+        lens = [p["len"] for p in cert["parts"]]
+        assert 1 in lens and 2 in lens
+        calls = self._spy(monkeypatch)
+        assert verify_certificate(cert)["ok"]
+        assert calls == [Progression.from_json(p) for p in cert["parts"] if p["len"] >= 2]
+
+    @pytest.mark.parametrize("make", [_phase_cert, _heisenberg_cert], ids=["phase", "nil"])
+    def test_singleton_witness_compared_with_zero(self, make):
+        cert = make()
+        i = next(i for i, p in enumerate(cert["parts"]) if p["len"] == 1)
+        cert["parts"][i]["diam"] = VERIFY_TOL
+        assert verify_certificate(cert)["ok"]
+        cert["parts"][i]["diam"] = 2.0**-29
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(cert)
+        assert ei.value.reason == "witness-mismatch"
+
+    @pytest.mark.parametrize(
+        "channel, payload, diam",
+        [
+            ("polyphase", {"phase": PolyPhase.monomial([0, "1/2"]).to_json()}, 0.5),
+            ("nilsequence", _torus1(PolyPhase.monomial([0, "1/2"]), _E_X), 2.0),
+        ],
+        ids=["phase", "nil"],
+    )
+    def test_two_point_part_still_measured(self, channel, payload, diam):
+        P = Progression(1, 1, 2)
+        assert verify_certificate(_one_part_cert(channel, payload, P, diam, diam))["ok"]
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(_one_part_cert(channel, payload, P, diam, 0.1))
+        assert ei.value.reason == "diam-exceeds-epsilon"
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(_one_part_cert(channel, payload, P, 0.0, diam))
+        assert ei.value.reason == "witness-mismatch"
