@@ -10,8 +10,8 @@ value and behind `apinc verify`.
 
 A nilsequence point is built from integers too: each coordinate is the
 exact Horner value of its phase over the phase's denominator, reduced to
-the fundamental domain in integers and rounded to float once.  The
-verifier parses a certificate's payload once, and evaluates nothing on a
+the fundamental domain in integers and rounded to float once.  A phase
+is parsed once and cached, and the verifier evaluates nothing on a
 one-point part, whose diameter is 0.
 """
 
@@ -215,8 +215,11 @@ def _nil_value_fn(payload):
             raise InvalidArgumentError(f"k must be an integer, got {k!r}")
         if fkind not in ("bump", "exp", "exp_re", "exp_im"):
             raise InvalidArgumentError(f"unknown factor kind {fkind!r}")
-        if not math.isfinite(shift):
-            raise InvalidArgumentError(f"shift must be finite, got {shift!r}")
+        # |u + shift| <= 1 + |shift|: when this bound on the argument is
+        # finite, no point's argument overflows into a NaN value or an error
+        scale = math.pi if fkind == "bump" else 2 * math.pi * abs(k)
+        if not math.isfinite(scale * (1 + abs(shift))):
+            raise InvalidArgumentError(f"factor argument overflows: k={k!r}, shift={shift!r}")
         factors.append((coord, fkind, 2j * math.pi * k, shift))
     # a NaN value hides from the pairwise scan's max()
     if not cmath.isfinite(prefactor):
@@ -238,7 +241,7 @@ def _nil_value_fn(payload):
 
 
 def _parse_channel(channel_payload, channel):
-    """Parse a serialized channel once; returns diam(ns), its exhaustive
+    """Parse a serialized channel; returns diam(ns), its exhaustive
     diameter over the points ns.
 
     Polyphase channel: circle metric, exact sorted sweep over integer
@@ -264,15 +267,13 @@ def _parse_channel(channel_payload, channel):
 def brute_diam(channel_payload, P, channel="polyphase"):
     """Exhaustive diameter of a serialized channel over a progression.
 
-    `channel_payload` is the certificate's payload, or the diam function
-    `_parse_channel` made of it.  Charges `P.len` points and, on the
-    nilsequence channel, `L(L-1)/2` pairs against the work budget.
+    Charges `P.len` points and, on the nilsequence channel, `L(L-1)/2`
+    pairs against the work budget; the `L` points are held in memory.
     """
     charge(P.len, f"diameter over {P.len} points")
     if channel == "nilsequence":
         charge(P.len * (P.len - 1) // 2, "pairwise nilsequence diameter")
-    diam = channel_payload if callable(channel_payload) else _parse_channel(channel_payload, channel)
-    return diam(P.elements())
+    return _parse_channel(channel_payload, channel)(P.elements())
 
 
 # ---------------------------------------------------------------------
@@ -305,8 +306,7 @@ def verify_certificate(cert):
         if type(min_len) is not int:
             raise InvalidArgumentError(f"min_len must be an integer, got {min_len!r}")
         channel, payload = cert.get("channel", "polyphase"), cert["payload"]
-        diam = _parse_channel(payload, channel)  # parsed once for every part
-        diam([source.base])  # and one value evaluated
+        _parse_channel(payload, channel)([source.base])  # one value evaluated
     except (
         InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
     ) as e:
@@ -353,7 +353,7 @@ def verify_certificate(cert):
     witnesses = []
     for pi, (p, w) in enumerate(zip(parts, stored)):
         # a one-point part has diameter 0: its witness is still compared
-        d = float(brute_diam(diam, p, channel=channel)) if p.len > 1 else 0.0
+        d = float(brute_diam(payload, p, channel=channel)) if p.len > 1 else 0.0
         if d > eps + VERIFY_TOL:
             raise CertificateError(
                 "diam-exceeds-epsilon",

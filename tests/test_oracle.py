@@ -501,10 +501,24 @@ class TestFactorFields:
             verify_certificate(cert)
         assert ei.value.reason == "malformed-certificate"
 
-    @pytest.mark.parametrize("k", [True, 0.5])
+    # 2*pi*10**308 overflows to an infinite frequency, whose values are NaN
+    @pytest.mark.parametrize("k", [True, 0.5, 10**308], ids=["True", "0.5", "10**308"])
     def test_k_must_be_an_integer(self, k):
         cert = _heisenberg_cert(40)
         cert["payload"]["function"]["factors"][0]["k"] = k
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(cert)
+        assert ei.value.reason == "malformed-certificate"
+
+    # finite k and shift whose product overflows: for the exp factor the
+    # first point's argument 2*pi*10**307 * 1.9 is finite, and a later
+    # point's, at u = 0.99, is not
+    @pytest.mark.parametrize(
+        "kind, k, shift", [("exp", 10**307, 1.9), ("bump", 1, 1e308)], ids=["exp", "bump"]
+    )
+    def test_factor_argument_must_not_overflow(self, kind, k, shift):
+        payload = _torus1(PolyPhase.monomial([0, "1/100"]), [{"coord": 0, "kind": kind, "k": k, "shift": shift}])
+        cert = _one_part_cert("nilsequence", payload, Progression(0, 1, 100), 0.0, 2.0)
         with pytest.raises(CertificateError) as ei:
             verify_certificate(cert)
         assert ei.value.reason == "malformed-certificate"
