@@ -8,16 +8,18 @@ exhaustively verified diameter witnesses, and an increment engine whose
 claimed density gains are re-proved in exact rational arithmetic before
 being returned.  `apinc.oracle` holds independent brute-force
 re-implementations used by the `apinc verify` command and the tests.
+
+Importing the package loads only `errors`.  Every other exported name,
+and every module that owns one, is imported when it is first read, so a
+command loads only the modules it runs: the phase channel never loads
+numpy.
+Resolved names are not stored here, so `apinc.name` always reads the
+owning module's current attribute, also while that attribute is
+patched.
 """
 
-from .engine import (
-    APFound,
-    Incremented,
-    Inconclusive,
-    density_increment_step,
-    find_ap,
-    szemeredi_search,
-)
+import importlib
+
 from .errors import (
     ApincError,
     BudgetExceededError,
@@ -27,72 +29,46 @@ from .errors import (
     PreconditionError,
     UnsupportedManifoldError,
 )
-from .gowers import (
-    DenseSet,
-    GroupFunction,
-    InverseWitness,
-    ap_count,
-    balanced,
-    catalog_inverse,
-    gowers_norm,
-    inverse_u2,
-    lambda_k,
-    von_neumann_check,
-)
-from .nil import (
-    LipschitzFunction,
-    Nilmanifold,
-    PolySequence,
-    lipschitz_catalog,
-    partition_nilsequence,
-)
-from .oracle import brute_ap_count, brute_gowers, max_ap_free, verify_certificate
-from .polyphase import (
-    PolyPhase,
-    diam_on,
-    partition_polyphase,
-)
-from .progressions import PartitionCertificate, Progression, subdivide
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APFound",
-    "ApincError",
-    "BudgetExceededError",
-    "CertificateError",
-    "DenseSet",
-    "GroupFunction",
-    "Incremented",
-    "Inconclusive",
-    "IntegerRangeError",
-    "InvalidArgumentError",
-    "InverseWitness",
-    "LipschitzFunction",
-    "Nilmanifold",
-    "PartitionCertificate",
-    "PolyPhase",
-    "PolySequence",
-    "PreconditionError",
-    "Progression",
-    "UnsupportedManifoldError",
-    "ap_count",
-    "balanced",
-    "brute_ap_count",
-    "brute_gowers",
-    "catalog_inverse",
-    "density_increment_step",
-    "diam_on",
-    "find_ap",
-    "gowers_norm",
-    "inverse_u2",
-    "lambda_k",
-    "lipschitz_catalog",
-    "max_ap_free",
-    "partition_nilsequence",
-    "partition_polyphase",
-    "subdivide",
-    "szemeredi_search",
-    "verify_certificate",
-    "von_neumann_check",
-]
+# exported name -> the module that defines it
+_OWNER = {
+    name: module
+    for module, names in {
+        "engine": "APFound Incremented Inconclusive density_increment_step find_ap szemeredi_search",
+        "gowers": "DenseSet GroupFunction InverseWitness ap_count balanced catalog_inverse"
+        " gowers_norm inverse_u2 lambda_k von_neumann_check",
+        "nil": "LipschitzFunction Nilmanifold PolySequence lipschitz_catalog partition_nilsequence",
+        "oracle": "brute_ap_count brute_gowers max_ap_free verify_certificate",
+        "polyphase": "PolyPhase diam_on partition_polyphase",
+        "progressions": "PartitionCertificate Progression subdivide",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(
+    [
+        "ApincError",
+        "BudgetExceededError",
+        "CertificateError",
+        "IntegerRangeError",
+        "InvalidArgumentError",
+        "PreconditionError",
+        "UnsupportedManifoldError",
+        *_OWNER,
+    ]
+)
+
+
+def __getattr__(name):
+    """An exported name, read from its owning module, or one of those
+    modules itself; each is imported on first use (PEP 562)."""
+    if name in _OWNER.values():
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        module = _OWNER[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+

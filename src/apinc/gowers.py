@@ -18,6 +18,7 @@ restricted to the window (each AP and its mirror both counted).
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,18 +32,26 @@ TOL = 2.0**-30
 
 @dataclass(frozen=True)
 class DenseSet:
-    """Subset of [1..N], kept sorted and distinct."""
+    """Subset of [1..N], kept sorted and distinct.  N and the members
+    must be integers (Python or numpy, not bool): nothing is rounded."""
 
     N: int
     members: tuple
 
     def __init__(self, N, members):
-        ms = tuple(sorted(set(int(m) for m in members)))
+        members = list(members)  # read twice below
+        # operator.index refuses floats and numpy bools, but reads a bool as 0 or 1
+        if type(N) is bool or bool in map(type, members):
+            raise InvalidArgumentError("N and the members must be integers, not bools")
+        try:
+            N, ms = operator.index(N), tuple(sorted(set(map(operator.index, members))))
+        except TypeError as e:
+            raise InvalidArgumentError(f"N and the members must be integers: {e}") from None
         if N < 1:
             raise InvalidArgumentError("N must be positive")
         if ms and not (1 <= ms[0] and ms[-1] <= N):
             raise InvalidArgumentError("members must lie in [1..N]")
-        object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "members", ms)
 
     @property

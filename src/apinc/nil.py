@@ -43,7 +43,8 @@ from .errors import (
     PreconditionError,
     UnsupportedManifoldError,
 )
-from .polyphase import PolyPhase, lift, partition_polyphase
+from . import polyphase
+from .polyphase import PolyPhase, lift
 from .progressions import PartitionCertificate, check_budget, index_slice, refine, repair
 
 TWO_PI = 2.0 * math.pi
@@ -359,7 +360,10 @@ def reduce_dimension(Mf, g, F, P, eps):
     Lp = F.coord_lipschitz(pivot)
     target = min(eps_f / lift(Lp), Fraction(1, 2))
     pivot_phase = g.coords[pivot]
-    cert = partition_polyphase(pivot_phase, P, target)
+    # read through the module, never bound here: nil is imported on first
+    # use, and a name bound while perfbench's tracer had patched polyphase
+    # would keep the tracer's wrapper after it restores the module
+    cert = polyphase.partition_polyphase(pivot_phase, P, target)
 
     rest = [c for i, c in enumerate(g.coords) if i != pivot]
     h = PolySequence(rest)

@@ -12,7 +12,9 @@ A nilsequence point is built from integers too: each coordinate is the
 exact Horner value of its phase over the phase's denominator, reduced to
 the fundamental domain in integers and rounded to float once.  A phase
 is parsed once and cached, and the verifier evaluates nothing on a
-one-point part, whose diameter is 0.
+one-point part, whose diameter is 0.  numpy is imported only where
+arrays are used, by `brute_gowers` and the nilsequence diameter, so
+verifying a phase certificate never loads it.
 """
 
 import cmath
@@ -20,8 +22,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import BudgetExceededError, CertificateError, InvalidArgumentError, charge
 from .progressions import Progression
@@ -97,6 +97,8 @@ def max_ap_free(N, k=3):
 
 def brute_gowers(f, k):
     """U^k norm via the 2^k-fold cube sum, no FFT, no recursion."""
+    import numpy as np
+
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     values = np.asarray(f.values if hasattr(f, "values") else f, dtype=complex)
@@ -251,6 +253,8 @@ def _parse_channel(channel_payload, channel):
         D, T = _phase_poly(channel_payload["phase"])
         return lambda ns: Fraction(_circle_sweep(sorted({_horner(T, n) % D for n in ns}), D), D)
     if channel == "nilsequence":
+        import numpy as np
+
         value = _nil_value_fn(channel_payload)
 
         def diam(ns):
@@ -268,12 +272,14 @@ def brute_diam(channel_payload, P, channel="polyphase"):
     """Exhaustive diameter of a serialized channel over a progression.
 
     Charges `P.len` points and, on the nilsequence channel, `L(L-1)/2`
-    pairs against the work budget; the `L` points are held in memory.
+    pairs against the work budget.  The points are walked, never listed;
+    the phase channel holds the distinct residues, the nilsequence
+    channel the `L` values.
     """
     charge(P.len, f"diameter over {P.len} points")
     if channel == "nilsequence":
         charge(P.len * (P.len - 1) // 2, "pairwise nilsequence diameter")
-    return _parse_channel(channel_payload, channel)(P.elements())
+    return _parse_channel(channel_payload, channel)(range(P.base, P.base + P.len * P.step, P.step))
 
 
 # ---------------------------------------------------------------------
@@ -319,26 +325,42 @@ def verify_certificate(cert):
     # disjoint parts inside the source hold at most source.len points,
     # so the walks stop one point past that: a huge bogus part costs
     # about source.len points and is refused as coverage-excess below
-    seen = {}
+    B, S, N = source.base, source.step, source.len
+    covered = bytearray(N)  # covered[q]: source[q] lies in a part walked so far
+    walked, excess = 0, None  # excess: the smallest walked point outside the source
     for pi, p in enumerate(parts):
-        n = min(p.len, source.len + 1 - len(seen))
+        n = min(p.len, N + 1 - walked)
+        walked += n
+        # a longer part on the source's lattice and inside it is marked
+        # as one slice of indices; any other part, or one that meets a
+        # marked index, is walked point by point
+        if n > 1:
+            (q0, r0), (k, rk) = divmod(p.base - B, S), divmod(p.step, S)
+            lo, hi = sorted((q0, q0 + (n - 1) * k))
+            marks = slice(lo, hi + 1, abs(k))
+            if not (r0 or rk) and 0 <= lo and hi < N and 1 not in covered[marks]:
+                covered[marks] = b"\x01" * n
+                continue
         for x in range(p.base, p.base + n * p.step, p.step):
-            if x in seen:
+            q, r = divmod(x - B, S)
+            if r or not 0 <= q < N:
+                excess = x if excess is None else min(excess, x)
+            elif covered[q]:
+                # every earlier part was walked whole, so the first
+                # part that holds x is the one that marked it
+                first = next(j for j, o in enumerate(parts) if x in o)
                 raise CertificateError(
-                    "parts-not-disjoint",
-                    f"element {x} appears in parts {seen[x]} and {pi}",
+                    "parts-not-disjoint", f"element {x} appears in parts {first} and {pi}"
                 )
-            seen[x] = pi
-    src_elems = set(range(source.base, source.base + source.len * source.step, source.step))
-    extra = seen.keys() - src_elems
-    if extra:
+            else:
+                covered[q] = 1
+    if excess is not None:
+        raise CertificateError("coverage-excess", f"element {excess} lies outside the source")
+    # the smallest uncovered point has the lowest index iff the step is positive
+    q = covered.find(0) if S > 0 else covered.rfind(0)
+    if q >= 0:
         raise CertificateError(
-            "coverage-excess", f"element {min(extra)} lies outside the source"
-        )
-    missing = src_elems - seen.keys()
-    if missing:
-        raise CertificateError(
-            "coverage-gap", f"element {min(missing)} is not covered by any part"
+            "coverage-gap", f"element {source[q]} is not covered by any part"
         )
 
     for pi, p in enumerate(parts):

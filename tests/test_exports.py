@@ -1,4 +1,9 @@
+import sys
+
+import pytest
+
 import apinc
+import apinc.polyphase
 
 
 def test_all_names_resolve():
@@ -11,3 +16,26 @@ def test_star_import():
     namespace = {}
     exec("from apinc import *", namespace)
     assert set(apinc.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        apinc.no_such_name  # noqa: B018
+    assert not hasattr(apinc, "no_such_name")
+
+
+def test_owning_modules_resolve():
+    # `import apinc` once imported them all, so `apinc.nil` worked without
+    # an import of its own
+    for module in ("engine", "gowers", "nil", "oracle", "polyphase", "progressions"):
+        assert apinc.__getattr__(module) is sys.modules[f"apinc.{module}"]
+
+
+def test_names_read_the_owning_module(monkeypatch):
+    # a name cached in the package would keep a patched attribute after
+    # it is restored, or miss the patch
+    sentinel = object()
+    monkeypatch.setattr(apinc.polyphase, "diam_on", sentinel)
+    assert apinc.diam_on is sentinel
+    monkeypatch.undo()
+    assert apinc.diam_on is apinc.polyphase.diam_on

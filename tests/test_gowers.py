@@ -83,6 +83,20 @@ class TestDenseSet:
         with pytest.raises(InvalidArgumentError):
             DenseSet(10, [11])
 
+    @pytest.mark.parametrize(
+        "N, members",
+        [(10, [1.5, 2.9]), (10, [True]), (10, [2, np.True_]), (10, ["3"]), (10.7, [1]), (True, [1])],
+        ids=["float-members", "bool-member", "numpy-bool-member", "str-member", "float-N", "bool-N"],
+    )
+    def test_non_integers_refused_not_truncated(self, N, members):
+        with pytest.raises(InvalidArgumentError):
+            DenseSet(N, members)
+
+    def test_integer_types_accepted(self):
+        A = DenseSet(np.int32(10), (x for x in [np.int64(4), 2, np.uint8(4)]))
+        assert (A.N, A.members) == (10, (2, 4))
+        assert all(type(x) is int for x in (A.N, *A.members))
+
     def test_mask_bits(self):
         assert DenseSet(10, [1, 3, 10]).mask() == 0b10000001010
         assert DenseSet(10, []).mask() == 0

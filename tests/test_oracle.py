@@ -252,6 +252,122 @@ class TestVerify:
             assert payload["reason"] == "coverage-gap"
 
 
+def _cover_cert(source, parts):
+    """A certificate of a constant phase over `source` with the given
+    (base, step, len) parts, each of diameter 0."""
+    return {
+        "channel": "polyphase", "source": Progression(*source).to_json(), "epsilon": 0.1,
+        "min_len": 1, "parts": [dict(Progression(*p).to_json(), diam=0.0) for p in parts],
+        "payload": {"phase": PolyPhase.monomial([0]).to_json()},
+    }
+
+
+def _coverage_outcome(cert):
+    try:
+        verify_certificate(cert)
+    except CertificateError as e:
+        return e.reason, str(e)
+    return None
+
+
+def _coverage_reference(source, parts):
+    """The coverage verdict computed point by point over sets: the parts
+    are walked in order, at most len(source) + 1 points in all."""
+    points = set(Progression(*source).elements())
+    owner, outside, walked = {}, [], 0
+    for pi, (base, step, n) in enumerate(parts):
+        n = min(n, len(points) + 1 - walked)
+        walked += n
+        for x in (base + i * step for i in range(n)):
+            if x not in points:
+                outside.append(x)
+            elif x in owner:
+                return "parts-not-disjoint", f"element {x} appears in parts {owner[x]} and {pi}"
+            else:
+                owner[x] = pi
+    if outside:
+        return "coverage-excess", f"element {min(outside)} lies outside the source"
+    if points - owner.keys():
+        return "coverage-gap", f"element {min(points - owner.keys())} is not covered by any part"
+    return None
+
+
+class TestCoverage:
+    """Each coverage fault alone gets its reason and message; a
+    certificate with several gets the first of parts-not-disjoint,
+    coverage-excess and coverage-gap, as README "Certificates, not
+    trust" states."""
+
+    @pytest.mark.parametrize(
+        "source, parts, reason, message",
+        [
+            ((1, 1, 8), [(1, 1, 5), (5, 1, 4)], "parts-not-disjoint",
+             "element 5 appears in parts 0 and 1"),
+            ((1, 1, 8), [(1, 2, 4), (2, 2, 4), (6, 1, 1)], "parts-not-disjoint",
+             "element 6 appears in parts 1 and 2"),
+            ((8, -1, 8), [(8, -1, 8), (1, 3, 2)], "parts-not-disjoint",
+             "element 1 appears in parts 0 and 1"),
+            ((1, 1, 8), [(1, 1, 8), (9, 1, 3)], "coverage-excess",
+             "element 9 lies outside the source"),
+            ((1, 1, 8), [(10, -1, 10)], "coverage-excess", "element 9 lies outside the source"),
+            ((0, 2, 4), [(0, 1, 4), (4, 2, 2)], "coverage-excess",
+             "element 1 lies outside the source"),
+            ((1, 1, 8), [(1, 1, 3), (6, 1, 3)], "coverage-gap",
+             "element 4 is not covered by any part"),
+            ((8, -1, 8), [(8, -1, 3), (4, -1, 2), (1, 1, 1)], "coverage-gap",
+             "element 2 is not covered by any part"),
+            ((-3, 3, 5), [(-3, 6, 3), (0, 3, 1)], "coverage-gap",
+             "element 6 is not covered by any part"),
+        ],
+        ids=["overlap", "overlap-not-with-first-part", "overlap-downwards", "beyond-source",
+             "smallest-outside-point", "off-the-source-step", "gap", "gap-downwards",
+             "gap-negative-base"],
+    )
+    def test_single_fault(self, source, parts, reason, message):
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(_cover_cert(source, parts))
+        assert (ei.value.reason, str(ei.value)) == (reason, message)
+
+    @pytest.mark.parametrize(
+        "parts, reason",
+        [
+            ([(9, 1, 1), (1, 1, 4), (3, 1, 1)], "parts-not-disjoint"),
+            ([(1, 1, 4), (7, 1, 4)], "coverage-excess"),
+            ([(7, 1, 4), (9, 1, 2)], "coverage-excess"),
+        ],
+        ids=["overlap-then-excess", "excess-and-gap", "overlap-outside-source"],
+    )
+    def test_first_reason_wins(self, parts, reason):
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(_cover_cert((1, 1, 8), parts))
+        assert ei.value.reason == reason
+
+    @given(
+        source=st.tuples(st.integers(-6, 6), st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 12)),
+        parts=st.lists(
+            st.tuples(st.integers(-12, 24), st.sampled_from([-6, -3, -2, -1, 1, 2, 3, 4, 6]),
+                      st.integers(1, 14)),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pointwise_reference(self, source, parts):
+        assert _coverage_outcome(_cover_cert(source, parts)) == _coverage_reference(source, parts)
+
+    @pytest.mark.parametrize(
+        "source, parts",
+        [
+            ((1, 1, 8), [(1, 2, 4), (2, 2, 4)]),
+            ((8, -1, 8), [(8, -2, 4), (7, -2, 4)]),
+            ((-5, 3, 8), [(-5, 6, 4), (-2, 6, 4)]),
+            ((1, 1, 9), [(7, -3, 3), (2, 3, 3), (9, -3, 3)]),
+        ],
+        ids=["up", "down", "negative-base", "parts-against-the-source"],
+    )
+    def test_exact_cover_passes(self, source, parts):
+        assert verify_certificate(_cover_cert(source, parts))["ok"]
+
+
 class TestBruteDiamChannels:
     def test_polyphase_exact(self):
         payload = {"phase": PolyPhase.monomial([0, "1/4"]).to_json()}
@@ -451,11 +567,23 @@ _E_X = [{"coord": 0, "kind": "exp", "k": 1, "shift": 0.0}]
 
 class TestBruteDiamBudget:
     def test_million_point_certificate_verifies(self):
-        # over 10^6 points: the default budget is the only limit
+        # over 10^6 points: the default budget is the only limit.  Neither
+        # the coverage check nor brute_diam lists the points, so memory
+        # stays at a few bytes a point, where a list of them takes 36.
+        # A constant phase allocates no integer in its Horner steps, each
+        # of which tracemalloc would trace
+        import tracemalloc
+
         P = Progression(1, 1, 10**6 + 1)
-        payload = {"phase": PolyPhase.monomial([0, 1]).to_json()}
-        report = verify_certificate(_one_part_cert("polyphase", payload, P, 0.0, 0.1))
+        payload = {"phase": PolyPhase.monomial([0]).to_json()}
+        tracemalloc.start()
+        try:
+            report = verify_certificate(_one_part_cert("polyphase", payload, P, 0.0, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert report["ok"] and report["min_len"] == 10**6 + 1
+        assert peak < 4 * 10**6
 
     def test_points_charged(self, monkeypatch):
         payload = {"phase": PolyPhase.monomial([0, "1/4"]).to_json()}
