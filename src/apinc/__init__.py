@@ -72,3 +72,8 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     return getattr(importlib.import_module(f".{module}", __name__), name)
 
+
+def __dir__():
+    """The package's globals, every exported name and the modules that
+    own them, also those not yet imported."""
+    return sorted({*globals(), *__all__, *_OWNER.values()})

@@ -21,11 +21,18 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import gowers, polyphase
 from .errors import InvalidArgumentError
-from .gowers import DenseSet, InverseWitness, ap_count, ap_scan, balanced
-from .gowers import catalog_inverse, inverse_u2
-from .polyphase import lift, partition_polyphase
+from .gowers import DenseSet, InverseWitness, ap_count, ap_scan, catalog_inverse
+from .polyphase import lift
 from .progressions import Progression
+
+# The partition and inverse entry points are read through their modules
+# at call time, as in nil: a name bound while a tracer had patched its
+# module would keep the wrapper after the module is restored, and the
+# package imports this module on first use.  ap_count alone stays bound,
+# because perfbench/test_perfbench.py pins the engine.ap_count wrapper
+# (see the memo in gowers).
 
 SLACK = Fraction(1, 2**30)
 FFT_THRESHOLD = 2.0**-20  # the U^2 norm below which the fft oracle finds nothing
@@ -101,7 +108,7 @@ def fft_oracle():
     """Inverse-U^2 oracle: the dominant Fourier mode of f."""
 
     def oracle(f):
-        return inverse_u2(f, FFT_THRESHOLD)
+        return gowers.inverse_u2(f, FFT_THRESHOLD)
 
     return oracle
 
@@ -181,7 +188,7 @@ def increment_from_witness(A, witness, floor_n0=2):
     target = min(delta_eff / 2, Fraction(1, 2))
     need = alpha + delta_eff / 4 - SLACK
     while True:
-        cert = partition_polyphase(witness.phase, Progression(1, 1, N), target)
+        cert = polyphase.partition_polyphase(witness.phase, Progression(1, 1, N), target)
         long_best = select(cert, min_len)
         if long_best is not None and alpha + long_best[0] >= need:
             ratio, part, hits = long_best
@@ -224,7 +231,7 @@ def density_increment_step(A, k, oracle=None, floor_n0=2):
         return APFound(find_ap(A, k))
 
     oracle = oracle or fft_oracle()
-    f = balanced(A, k)
+    f = gowers.balanced(A, k)
     witness = oracle(f)
     if witness is None:
         return Inconclusive("oracle", stage="inverse")

@@ -361,8 +361,8 @@ def reduce_dimension(Mf, g, F, P, eps):
     target = min(eps_f / lift(Lp), Fraction(1, 2))
     pivot_phase = g.coords[pivot]
     # read through the module, never bound here: nil is imported on first
-    # use, and a name bound while perfbench's tracer had patched polyphase
-    # would keep the tracer's wrapper after it restores the module
+    # use, and a name bound while a tracer had patched polyphase would
+    # keep the wrapper after the module is restored (engine does the same)
     cert = polyphase.partition_polyphase(pivot_phase, P, target)
 
     rest = [c for i, c in enumerate(g.coords) if i != pivot]

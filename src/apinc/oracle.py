@@ -331,16 +331,6 @@ def verify_certificate(cert):
     for pi, p in enumerate(parts):
         n = min(p.len, N + 1 - walked)
         walked += n
-        # a longer part on the source's lattice and inside it is marked
-        # as one slice of indices; any other part, or one that meets a
-        # marked index, is walked point by point
-        if n > 1:
-            (q0, r0), (k, rk) = divmod(p.base - B, S), divmod(p.step, S)
-            lo, hi = sorted((q0, q0 + (n - 1) * k))
-            marks = slice(lo, hi + 1, abs(k))
-            if not (r0 or rk) and 0 <= lo and hi < N and 1 not in covered[marks]:
-                covered[marks] = b"\x01" * n
-                continue
         for x in range(p.base, p.base + n * p.step, p.step):
             q, r = divmod(x - B, S)
             if r or not 0 <= q < N:

@@ -12,6 +12,12 @@ def test_all_names_resolve():
     assert len(set(apinc.__all__)) == len(apinc.__all__)
 
 
+def test_dir_lists_every_name():
+    # dir(), help() and tab completion list the lazy names too
+    assert set(apinc.__all__) <= set(dir(apinc))
+    assert {"engine", "nil", "oracle"} <= set(dir(apinc))
+
+
 def test_star_import():
     namespace = {}
     exec("from apinc import *", namespace)

@@ -92,6 +92,16 @@ class TestDenseSet:
         with pytest.raises(InvalidArgumentError):
             DenseSet(N, members)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"N": 10, "members": [1.0]}, {"N": True, "members": [1]}, {"N": "10", "members": [1]},
+         {"N": 10, "members": "12"}, {"N": 10, "members": None}, {"N": 10, "members": [[1]]}],
+        ids=["float-member", "bool-N", "str-N", "str-members", "null-members", "nested-member"],
+    )
+    def test_from_json_refuses_non_integers(self, obj):
+        with pytest.raises(InvalidArgumentError):
+            DenseSet.from_json(obj)
+
     def test_integer_types_accepted(self):
         A = DenseSet(np.int32(10), (x for x in [np.int64(4), 2, np.uint8(4)]))
         assert (A.N, A.members) == (10, (2, 4))
