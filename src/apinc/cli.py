@@ -95,6 +95,17 @@ def emit(obj, out=None):
         print(text)
 
 
+def emit_partition(cert, out):
+    """Write a partition certificate, and its summary on stderr: part
+    count, shortest part, largest witness and, when the payload records
+    one, the reduction depth."""
+    emit(cert.to_json(), out=out)
+    summary = {"num_parts": cert.num_parts, "min_len": cert.min_len, "max_diam": max(cert.diam_witness)}
+    if "depth" in cert.payload:
+        summary["depth"] = cert.payload["depth"]
+    print(json.dumps(summary), file=sys.stderr)
+
+
 # ---------------------------------------------------------------------
 # Subcommands
 
@@ -123,18 +134,7 @@ def cmd_partition_phase(args):
 
     phi = parse_phase(args.phase)
     P = parse_range(args.range)
-    cert = partition_polyphase(phi, P, args.eps)
-    emit(cert.to_json(), out=args.out)
-    print(
-        json.dumps(
-            {
-                "num_parts": cert.num_parts,
-                "min_len": cert.min_len,
-                "max_diam": max(cert.diam_witness),
-            }
-        ),
-        file=sys.stderr,
-    )
+    emit_partition(partition_polyphase(phi, P, args.eps), args.out)
 
 
 def cmd_partition_nil(args):
@@ -159,19 +159,7 @@ def cmd_partition_nil(args):
     g = PolySequence(coords)
     F = lipschitz_catalog(args.fn)
     P = parse_range(args.range)
-    cert = partition_nilsequence(Mf, g, F, P, args.eps)
-    emit(cert.to_json(), out=args.out)
-    print(
-        json.dumps(
-            {
-                "num_parts": cert.num_parts,
-                "min_len": cert.min_len,
-                "max_diam": max(cert.diam_witness),
-                "depth": cert.payload.get("depth"),
-            }
-        ),
-        file=sys.stderr,
-    )
+    emit_partition(partition_nilsequence(Mf, g, F, P, args.eps), args.out)
 
 
 def cmd_verify(args):

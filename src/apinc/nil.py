@@ -72,14 +72,6 @@ class Nilmanifold:
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim}
 
-    @classmethod
-    def from_json(cls, obj):
-        if obj["kind"] == "torus":
-            return cls.torus(int(obj["dim"]))
-        if obj["kind"] == "heisenberg":
-            return cls.heisenberg()
-        raise UnsupportedManifoldError(f"unknown manifold kind {obj['kind']!r}")
-
 
 # ---------------------------------------------------------------------
 # Polynomial sequences
@@ -125,10 +117,6 @@ class PolySequence:
 
     def to_json(self):
         return {"coords": [c.to_json() for c in self.coords]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls([PolyPhase.from_json(c) for c in obj["coords"]])
 
 
 # ---------------------------------------------------------------------
@@ -219,22 +207,6 @@ class LipschitzFunction:
                 for f in self.factors
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            obj.get("name", "custom"),
-            tuple(
-                Factor(
-                    int(f["coord"]),
-                    f["kind"],
-                    int(f.get("k", 1)),
-                    float(f.get("shift", 0.0)),
-                )
-                for f in obj["factors"]
-            ),
-            complex(obj.get("prefactor_re", 1.0), obj.get("prefactor_im", 0.0)),
-        )
 
 
 _COORD_NAMES = {"x": 0, "y": 1, "z": 2}
@@ -391,14 +363,15 @@ def partition_nilsequence(Mf, g, F, P, eps):
     — telescopes below eps.  Parts whose true values already fit are
     emitted early, and adjacent parts are re-merged under the
     exhaustive check.  The values over P are computed once; every
-    part's check, each merge trial and each witness reads its slice.
+    part's check and each merge trial reads its slice, and the check
+    that keeps a part measures its witness.
 
     Cost model, checked against the work budget before anything is
     built: one point costs c = 1 + sum_j (d_j + 1), the difference
     levels of every coordinate phase plus F, and the recursion evaluates
-    it at most once per coordinate and once more for the witnesses, so
-    P costs len(P) * c^2.  That also covers the phase partition each
-    level runs on its pivot coordinate.
+    it at most once per coordinate and once more for the checks and
+    merge trials, so P costs len(P) * c^2.  That also covers the phase
+    partition each level runs on its pivot coordinate.
     """
     _check_compat(Mf, g, F)
     eps_f = lift(eps)
@@ -410,8 +383,8 @@ def partition_nilsequence(Mf, g, F, P, eps):
     eps_val = float(eps_f)
     vals = nil_values(Mf, g, F, P)
 
-    def fits(Q):
-        return complex_diam(vals[index_slice(P, Q)]) <= eps_val
+    def diam(Q):
+        return complex_diam(vals[index_slice(P, Q)])
 
     def live(Mf2, g2, F2):  # None once no coordinate is left to freeze
         return (Mf2, g2, F2) if F2.factors and Mf2.dim else None
@@ -419,9 +392,7 @@ def partition_nilsequence(Mf, g, F, P, eps):
     def reduce(state, Q):
         return [(R, live(*rest)) for R, *rest in reduce_dimension(*state, Q, level_eps)]
 
-    parts, max_depth = refine(P, live(Mf, g, F), fits, reduce)
-    # a single point has diameter 0 (complex_diam's own answer for it)
-    witnesses = [complex_diam(vals[index_slice(P, p)]) if p.len > 1 else 0.0 for p in parts]
+    parts, witnesses, max_depth = refine(P, live(Mf, g, F), diam, eps_val, reduce)
     assert all(w <= eps_val + 2**-35 for w in witnesses)
     return PartitionCertificate(
         source=P,

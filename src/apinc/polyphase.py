@@ -56,21 +56,6 @@ def lift(x):
     raise InvalidArgumentError(f"cannot use {x!r} as a phase coefficient")
 
 
-def frac(x):
-    """Representative of x mod 1 in [0, 1)."""
-    return x - (x.numerator // x.denominator)
-
-
-def circ_norm(x):
-    """Distance ||x|| from x to the nearest integer, in [0, 1/2]."""
-    f = frac(x)
-    return f if f <= HALF else 1 - f
-
-
-def circ_dist(x, y):
-    return circ_norm(x - y)
-
-
 # ---------------------------------------------------------------------
 # Integer kernel: numerator vectors over a common denominator
 
@@ -246,13 +231,6 @@ class PolyPhase:
             self._coeffs = tuple(Fraction(p, q) for p in ps)
         return self._coeffs
 
-    def in_basis(self, basis):
-        if basis == self.basis:
-            return self
-        if basis not in ("binomial", "monomial"):
-            raise InvalidArgumentError(f"unknown basis {basis!r}")
-        return PolyPhase._from_kernel(self.den, self.num, basis, self.exact)
-
     # -- structure -----------------------------------------------------
 
     @property
@@ -329,14 +307,6 @@ class PolyPhase:
         else:
             cs = [repr(float(c)) for c in self.coeffs]
         return {"basis": self.basis, "coeffs": cs, "exact": self.exact}
-
-    @classmethod
-    def from_json(cls, obj):
-        exact = obj.get("exact", True)
-        if type(exact) is not bool:
-            raise InvalidArgumentError(f"exact must be a JSON boolean, got {exact!r}")
-        coeffs = [Fraction(c) if exact else float(c) for c in obj["coeffs"]]
-        return cls(coeffs, basis=obj["basis"], exact=exact)
 
     def __repr__(self):
         cs = ", ".join(str(c) if self.exact else repr(float(c)) for c in self.coeffs)
@@ -434,7 +404,7 @@ def reduce_degree_partition(phi, P, theta_target):
     s = phi.degree
     if s == 0:
         # constant mod 1 (e.g. c + 0*n): single part, constant companion
-        return [(P, PolyPhase.constant(phi.eval(P.base), exact=phi.exact))]
+        return [(P, PolyPhase._from_kernel(phi.den, [phi.residue(P.base)], "monomial", phi.exact))]
 
     dl = phi.den * factorial(phi.declared_degree)  # local monomial denominator
     lead = _local_monomial(phi, P)[s]
@@ -473,13 +443,14 @@ def partition_polyphase(phi, P, eps):
     true phase already satisfies the target on it, and adjacent parts
     are greedily re-merged under the exhaustive check afterwards.
 
-    The residues of phi over P are walked once; every part's check, each
-    merge trial and each witness reads its slice of them.
+    The residues of phi over P are walked once; every part's check and
+    each merge trial reads its slice of them, and the check that keeps a
+    part measures its witness.
 
     Cost model, checked against the work budget before anything is
     built: a residue list over P walks d + 1 difference levels per point
     (d the declared degree), and the recursion walks such lists once per
-    degree level and once more for the witnesses, so P costs
+    degree level and once more for the checks and merge trials, so P costs
     len(P) * (d + 1)^2.
     """
     eps_f = lift(eps)
@@ -490,10 +461,7 @@ def partition_polyphase(phi, P, eps):
     res = phi.residues(P)
 
     def diam_num(Q):
-        return 0 if Q.len == 1 else _diam_num(res[index_slice(P, Q)], den)
-
-    def fits(Q):
-        return diam_num(Q) * eps_f.denominator <= eps_f.numerator * den
+        return _diam_num(res[index_slice(P, Q)], den)
 
     # the budget of degree s; every companion has a lower degree than its phase
     theta = [eps_f * BUDGET_WEIGHT / s**2 for s in range(1, phi.degree + 1)]
@@ -504,9 +472,10 @@ def partition_polyphase(phi, P, eps):
             return [(Q, None)]
         return reduce_degree_partition(phase, Q, theta[s - 1])
 
-    parts, _ = refine(P, phi, fits, reduce)
-    witnesses = [diam_num(p) for p in parts]
-    assert all(w * eps_f.denominator <= eps_f.numerator * den for w in witnesses)
+    # an integer numerator w over den is at most eps exactly when w <= limit
+    limit = eps_f.numerator * den // eps_f.denominator
+    parts, witnesses, _ = refine(P, phi, diam_num, limit, reduce)
+    assert max(witnesses) <= limit
     return PartitionCertificate(
         source=P,
         parts=parts,

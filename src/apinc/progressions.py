@@ -155,9 +155,11 @@ def index_slice(P, Q):
     return slice(start, stop + 1, stride)
 
 
-def merge_parts(parts, fits):
+def merge_parts(parts, wit, diam, limit):
     """Coarsen a partition: greedily absorb a following contiguous
-    same-step part (or a singleton) while `fits` accepts the union."""
+    same-step part (or a singleton) while the union's diameter is at
+    most `limit`.  `wit` maps the base of each multi-point part to its
+    diameter; every union kept records its own there."""
     by_base = {p.base: p for p in parts}
     merged, used = [], set()
     for b in sorted(by_base):
@@ -175,10 +177,12 @@ def merge_parts(parts, fits):
                 trial = Progression(cur.base, cur.step, cur.len + 1)
             else:
                 break
-            if not fits(trial):
+            w = diam(trial)
+            if w > limit:
                 break
             used.add(nxt.base)
             cur = trial
+            wit[b] = w
         merged.append(cur)
     return merged
 
@@ -210,33 +214,41 @@ def check_budget(P, per_point):
     charge(P.len * per_point, f"partition of {P.len} points")
 
 
-def refine(P, root, fits, reduce):
+def refine(P, root, diam, limit, reduce):
     """The partition recursion shared by every channel.
 
-    A part Q reached in state `state` is kept when the state is None
-    (nothing is left to reduce), Q.len == 1 or fits(Q); otherwise
-    `reduce(state, Q)` cuts it into [(R, child)] pairs and each R is
-    refined in its child state.  A failing part of length 2 becomes its
-    two points without a call to `reduce`: the channels' level budgets
-    sum to at most the fit bound, so a part that fails `fits` does not
-    end its reductions whole (the nil channel's float slack aside), and
-    two points split only one way.  The kept
-    parts are re-merged under `fits`.  Returns the parts in base order and the
-    deepest level reached (P is level 0).
+    A part Q of length 1 is kept with diameter 0, never evaluated.  A
+    longer part reached in state `state` is measured once, `diam(Q)`, and
+    kept when that is at most `limit` or the state is None (nothing is
+    left to reduce); otherwise `reduce(state, Q)` cuts it into
+    [(R, child)] pairs and each R is refined in its child state.  A
+    failing part of length 2 becomes its two points without a call to
+    `reduce`: the channels' level budgets sum to at most the limit, so a
+    part over it does not end its reductions whole (the nil channel's
+    float slack aside), and two points split only one way.  The kept
+    parts are re-merged under `limit`.  Returns the parts in base order,
+    their witnesses (the diameter measured by the visit or merge trial
+    that kept each) and the deepest level reached (P is level 0).
     """
-    parts, depth = [], 0
+    parts, wit, depth = [], {}, 0  # wit: base -> diameter, multi-point parts only
 
     def visit(Q, state, level):
         nonlocal depth
-        if state is None or Q.len == 1 or fits(Q):
+        if Q.len == 1:
             parts.append(Q)
-        else:
-            depth = max(depth, level + 1)
-            if Q.len == 2:
-                parts.extend((Progression(Q.base, Q.step, 1), Progression(Q.last, Q.step, 1)))
-                return
-            for R, child in reduce(state, Q):
-                visit(R, child, level + 1)
+            return
+        w = diam(Q)
+        if state is None or w <= limit:
+            parts.append(Q)
+            wit[Q.base] = w
+            return
+        depth = max(depth, level + 1)
+        if Q.len == 2:
+            parts.extend((Progression(Q.base, Q.step, 1), Progression(Q.last, Q.step, 1)))
+            return
+        for R, child in reduce(state, Q):
+            visit(R, child, level + 1)
 
     visit(P, root, 0)
-    return merge_parts(parts, fits), depth
+    merged = merge_parts(parts, wit, diam, limit)
+    return merged, [wit.get(p.base, 0) for p in merged], depth

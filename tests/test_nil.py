@@ -25,7 +25,7 @@ from apinc.nil import (
     reduce_dimension,
 )
 from apinc import nil
-from apinc.oracle import verify_certificate
+from apinc.oracle import _nil_value_fn, verify_certificate
 from apinc.polyphase import PolyPhase
 from apinc.progressions import Progression
 
@@ -90,10 +90,21 @@ class TestGroupLaw:
             assert 0 <= c < 1
 
 
+def read_back(Mf, g, F, P):
+    """Values at P's elements of the serialized (Mf, g, F), as the
+    verifier, their one reader, evaluates them."""
+    value = _nil_value_fn({"manifold": Mf.to_json(), "sequence": g.to_json(), "function": F.to_json()})
+    return np.array([value(n) for n in P.elements()])
+
+
 class TestManifold:
     def test_json_roundtrip(self):
+        P = Progression(-30, 7, 40)
+        g = PolySequence([PolyPhase.binomial([0, SQRT2, 0.3]), PolyPhase.monomial([0, SQRT3]),
+                          PolyPhase.monomial([Fraction(1, 5), Fraction(1, 3), Fraction(1, 7)])])
+        F = lipschitz_catalog("e(x)*cutoff")
         for Mf in (Nilmanifold.torus(3), Nilmanifold.heisenberg()):
-            assert Nilmanifold.from_json(Mf.to_json()).kind == Mf.kind
+            assert np.array_equal(read_back(Mf, g, F, P), nil_values(Mf, g, F, P))
 
 
 class TestSequencesAndEval:
@@ -213,9 +224,10 @@ class TestLipschitzFunctions:
                 assert abs(F.value((u, v))) <= 1 + 1e-12
 
     def test_json_roundtrip(self):
+        # a frozen function keeps its prefactor and shifted coordinates
         F = lipschitz_catalog("e(x)*cutoff").freeze(0, 0.3)
-        F2 = LipschitzFunction.from_json(F.to_json())
-        assert abs(F2.value((0.7,)) - F.value((0.7,))) < 1e-12
+        Mf, g, P = Nilmanifold.torus(1), PolySequence.torus_linear([SQRT2]), Progression(1, 1, 30)
+        assert np.array_equal(read_back(Mf, g, F, P), nil_values(Mf, g, F, P))
 
 
 class TestComplexDiam:

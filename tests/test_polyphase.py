@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apinc.errors import BudgetExceededError, InvalidArgumentError, PreconditionError
-from apinc.oracle import brute_diam, verify_certificate
+from apinc.oracle import _horner, _phase_poly, brute_diam, verify_certificate
 from apinc.polyphase import (
     BUDGET_WEIGHT,
     PolyPhase,
@@ -22,6 +22,11 @@ GOLDEN = 0.6180339887498949  # frac((sqrt(5)-1)/2), as a double
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=64
 )
+
+
+def in_basis(phi, basis):
+    """The same kernel read in `basis`: its `coeffs` are converted there."""
+    return PolyPhase._from_kernel(phi.den, phi.num, basis, phi.exact)
 
 
 def compose_affine(phi, a, b):
@@ -57,27 +62,29 @@ class TestEval:
     @settings(max_examples=200, deadline=None)
     def test_basis_agreement(self, coeffs, n):
         phi = PolyPhase.monomial(coeffs)
-        assert phi.eval(n) == phi.in_basis("binomial").eval(n)
+        assert phi.eval(n) == sum(c * n**i for i, c in enumerate(coeffs)) % 1
 
     @given(coeffs=st.lists(rationals, min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_basis_roundtrip(self, coeffs):
+        # binomial -> monomial coefficients -> re-entered as monomial
         phi = PolyPhase.binomial(coeffs)
-        back = phi.in_basis("monomial").in_basis("binomial")
-        assert list(back.coeffs) == list(phi.coeffs)
+        back = PolyPhase.monomial(in_basis(phi, "monomial").coeffs)
+        assert [Fraction(p, back.den) for p in back.num] == list(phi.coeffs)
 
     def test_json_roundtrip(self):
-        phi = PolyPhase.binomial([Fraction(1, 3), Fraction(2, 7)])
-        phi2 = PolyPhase.from_json(phi.to_json())
-        assert phi2.coeffs == phi.coeffs and phi2.basis == phi.basis
+        # the verifier, the one reader of a serialized phase, reads back its values
+        for phi in (PolyPhase.binomial([Fraction(1, 3), Fraction(2, 7)]), PolyPhase.monomial([0, 0.1, GOLDEN])):
+            D, T = _phase_poly(phi.to_json())
+            assert all(Fraction(_horner(T, n) % D, D) == phi.eval(n) for n in range(-50, 50))
 
     @pytest.mark.parametrize("value", ["false", 0, None, [], "yes"])
     def test_json_exact_must_be_boolean(self, value):
         obj = PolyPhase.monomial([0, 0.1]).to_json()
-        assert PolyPhase.from_json(obj).exact is False
-        assert PolyPhase.from_json({"basis": "monomial", "coeffs": ["1/3"]}).exact is True
+        assert _phase_poly(obj) == (2**55, (0, 3602879701896397))  # the double 0.1
+        assert _phase_poly({"basis": "monomial", "coeffs": ["0", "0.1"]}) == (10, (0, 1))
         with pytest.raises(InvalidArgumentError):
-            PolyPhase.from_json(dict(obj, exact=value))
+            _phase_poly(dict(obj, exact=value))
 
 
 class TestComposeAffine:
@@ -137,13 +144,7 @@ class TestDiam:
     @given(vals=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=97), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_antipode_scan_matches_pairwise(self, vals):
-        from apinc.polyphase import frac, circ_dist
-
-        vals = [frac(v) for v in vals]
-        brute = max(
-            (circ_dist(a, b) for a in vals for b in vals), default=Fraction(0)
-        )
-        assert circle_diam(vals) == brute
+        assert circle_diam(vals) == ref_diam(vals)
 
 
 class TestReduceDegree:
@@ -283,6 +284,35 @@ class TestPartition:
             assert abs(float(true_diam) - w) < 1e-12
         report = verify_certificate(cert.to_json())
         assert report["ok"]
+
+    @given(
+        nums=st.lists(st.integers(-40, 40), min_size=2, max_size=3),
+        den=st.sampled_from([3, 7, 10, 20, 40, 60]),
+        eps=st.one_of(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 1 / 3, 0.45]), st.floats(0.01, 0.5)),
+        base=st.integers(-100, 100),
+        step=st.integers(1, 9),
+        length=st.integers(2, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_limit_is_exact(self, nums, den, eps, base, step, length):
+        # small denominators put part diameters on eps's exact value, which
+        # a float eps such as 0.05 (above 1/20) or 0.3 (below 3/10) misses
+        # by under 2^-50: every part is within eps, and every union the
+        # merge tried and refused (one that starts a part where another
+        # ends, with its step or as a point) exceeds it
+        coeffs = [Fraction(a, den) for a in nums]
+        cert = partition_polyphase(PolyPhase.binomial(coeffs), Progression(base, step, length), eps)
+
+        def diam(parts):
+            return ref_diam([ref_value(coeffs, "binomial", n) for p in parts for n in p.elements()])
+
+        for p, w in zip(cert.parts, cert.diam_witness):
+            assert diam([p]) <= Fraction(eps) and w == float(diam([p]))
+        by_base = {p.base: p for p in cert.parts}
+        for M in cert.parts:
+            N = by_base.get(M.base + M.len * M.step)
+            if N is not None and (N.step == M.step or N.len == 1):
+                assert diam([M, N]) > Fraction(eps)
 
     def test_negative_step_source(self):
         # witnesses sliced from the root's residues equal a recompute on
@@ -476,9 +506,9 @@ class TestKernel:
         for _ in range(d + 1):
             alphas.append(vals[0])
             vals = [b - a for a, b in zip(vals, vals[1:])]
-        assert list(phi.in_basis("binomial").coeffs) == alphas
+        assert [Fraction(p, phi.den) for p in phi.num] == alphas
         assert phi.degree == max((j for j in range(1, d + 1) if alphas[j].denominator > 1), default=0)
-        other = phi.in_basis("monomial" if basis == "binomial" else "binomial")
+        other = in_basis(phi, "monomial" if basis == "binomial" else "binomial")
         assert ref_value(other.coeffs, other.basis, n) == ref_value(coeffs, basis, n)
 
     @given(

@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from apinc.errors import IntegerRangeError, InvalidArgumentError
 from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, nil_values
+from apinc import progressions
 from apinc.oracle import verify_certificate
 from apinc.polyphase import PolyPhase, partition_polyphase
 from apinc.progressions import (
     PartitionCertificate,
     Progression,
     index_slice,
+    merge_parts,
     refine,
     repair,
     subdivide,
@@ -205,27 +209,33 @@ class TestSkeleton:
                 (Progression(Q.base + h * Q.step, Q.step, Q.len - h), child),
             ]
 
-        checked = []
+        measured = []
 
-        def fits(Q):
-            checked.append(Q)
-            return Q.last < 6
+        def diam(Q):  # the largest element stands in for the diameter
+            measured.append(Q)
+            return Q.last
 
         P = Progression(0, 1, 8)
-        # depth 0: nothing to reduce, and P is kept whole unchecked
-        assert refine(P, None, fits, halve) == ([P], 0)
-        assert calls == checked == []
+        # depth 0: nothing to reduce, and P is kept whole, measured once
+        # for its witness
+        assert refine(P, None, diam, 5, halve) == ([P], [7], 0)
+        assert calls == [] and measured == [P]
+        # a point is kept with witness 0 and never measured
+        measured.clear()
+        assert refine(Progression(3, 1, 1), 2, diam, 5, halve) == ([Progression(3, 1, 1)], [0], 0)
+        assert calls == measured == []
         # depth 2: [0..3] fits early, [4..7] is halved, and its halves
-        # [4, 5] and [6, 7] are kept unchecked with nothing left to
-        # reduce; the merge then joins [0..3] and [4, 5]
-        parts, depth = refine(P, 2, fits, halve)
+        # [4, 5] and [6, 7] are kept with nothing left to reduce, [6, 7]
+        # over the limit; the merge then joins [0..3] and [4, 5]
+        parts, witnesses, depth = refine(P, 2, diam, 5, halve)
         assert parts == [Progression(0, 1, 6), Progression(6, 1, 2)]
+        assert witnesses == [5, 7]
         assert depth == 2
         # parts that fit, or whose state is None, are never reduced
         assert calls == [(P, 2), (Progression(4, 1, 4), 1)]
-        visited = [P, Progression(0, 1, 4), Progression(4, 1, 4)]
+        visited = [P, Progression(0, 1, 4), Progression(4, 1, 4), Progression(4, 1, 2), Progression(6, 1, 2)]
         merged = [Progression(0, 1, 6), Progression(0, 1, 8)]
-        assert checked == visited + merged
+        assert measured == visited + merged
 
     @pytest.mark.parametrize("step", [3, -3])
     def test_refine_splits_a_failing_pair_without_reduce(self, step):
@@ -239,20 +249,72 @@ class TestSkeleton:
                 (Progression(Q.base + h * Q.step, Q.step, Q.len - h), state),
             ]
 
-        def fits(Q):
-            return Q.len == 1
+        def diam(Q):
+            return Q.len - 1  # only a point fits under limit 0
 
         points = [Progression(x, step, 1) for x in (10, 10 + step)]
-        # a live pair that fails fits becomes its two points at level 1
+        # a live pair over the limit becomes its two points at level 1
         pair = Progression(10, step, 2)
-        assert refine(pair, "live", fits, halve) == (sorted(points, key=lambda R: R.base), 1)
+        assert refine(pair, "live", diam, 0, halve) == (sorted(points, key=lambda R: R.base), [0, 0], 1)
         assert calls == []
         # the halves of a failing 4-point part split the same way; only
         # the 4-point part is reduced, and the depth still counts level 2
         P = Progression(10, step, 4)
-        parts, depth = refine(P, "live", fits, halve)
+        parts, witnesses, depth = refine(P, "live", diam, 0, halve)
         assert parts == [Progression(x, step, 1) for x in sorted(P.elements())]
+        assert witnesses == [0] * 4
         assert (calls, depth) == ([P], 2)
+
+    @given(
+        base=st.integers(-50, 50),
+        step=st.sampled_from([1, 2, 5, -1, -3]),
+        length=st.integers(1, 60),
+        levels=st.integers(0, 4),
+        limit=st.integers(0, 22),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_refine_measures_each_part_once(self, base, step, length, levels, limit):
+        def span(Q):  # a diameter: it only grows with the part
+            vals = [(7 * x * x + x) % 23 for x in Q.elements()]
+            return max(vals) - min(vals)
+
+        log, children = [], []
+
+        def diam(Q):
+            log.append(Q)
+            return span(Q)
+
+        def reduce(state, Q):
+            # halves, or the two residue classes mod 2, which change the step
+            child = state - 1 or None
+            if state % 2 and Q.len > 2:
+                out = [(R, child) for R in subdivide(Q, 2, Q.len)]
+            else:
+                h = Q.len // 2
+                out = [(Progression(Q.base, Q.step, h), child),
+                       (Progression(Q.base + h * Q.step, Q.step, Q.len - h), child)]
+            children.extend(R for R, _ in out)
+            return out
+
+        def marked(*args):
+            log.append("merge")
+            out = merge_parts(*args)
+            log.append("merged")
+            return out
+
+        P = Progression(base, step, length)
+        with mock.patch.object(progressions, "merge_parts", marked):
+            parts, witnesses, _ = refine(P, levels or None, diam, limit, reduce)
+        i, j = log.index("merge"), log.index("merged")
+        visits, trials, after = log[:i], log[i + 1 : j], log[j + 1 :]
+        # each multi-point part a visit reaches is measured once, every
+        # later call is a merge trial from a kept part's base, and nothing
+        # is measured after the merge
+        assert Counter(visits) == Counter(Q for Q in [P, *children] if Q.len > 1)
+        assert all(T.len > 1 and T.base in {Q.base for Q in parts} for T in trials)
+        assert after == []
+        assert witnesses == [span(Q) if Q.len > 1 else 0 for Q in parts]
+        assert sorted(x for Q in parts for x in Q.elements()) == sorted(P.elements())
 
 
 class TestCertificateType:
