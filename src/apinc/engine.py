@@ -17,7 +17,7 @@ before an outcome is returned.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -162,7 +162,18 @@ def increment_from_witness(A, witness, floor_n0=2):
     # Z_M renormalizes to the window as delta * M / N
     alpha = A.density_exact
     delta_eff = lift(witness.correlation) * witness.M / N
-    members = set(A.members)
+    classes = {}  # |step| -> {residue: the members in that class, in order}
+
+    def inside(p):
+        """The members of A in the part p, in increasing order, found by
+        bisection in the members of p's residue class."""
+        s = abs(p.step)
+        if s not in classes:
+            classes[s] = {}
+            for x in A.members:
+                classes[s].setdefault(x % s, []).append(x)
+        xs = classes[s].get(p.base % s, [])
+        return xs[bisect_left(xs, min(p.base, p.last)) : bisect_right(xs, max(p.base, p.last))]
 
     min_len = max(2, floor_n0)
 
@@ -171,7 +182,7 @@ def increment_from_witness(A, witness, floor_n0=2):
         for p in cert.parts:
             if p.len < floor:
                 continue
-            hits = sum(1 for x in p.elements() if x in members)
+            hits = len(inside(p))
             ratio = Fraction(hits, p.len) - alpha  # mean of f over the part
             if best is None or ratio > best[0] or (ratio == best[0] and p.base < best[1].base):
                 best = (ratio, p, hits)
@@ -206,8 +217,7 @@ def increment_from_witness(A, witness, floor_n0=2):
     if not new_density >= need:
         return Inconclusive("increment-shortfall", stage="pigeonhole")
 
-    idx = [i + 1 for i, x in enumerate(part.elements()) if x in members]
-    Aprime = DenseSet(part.len, idx)
+    Aprime = DenseSet(part.len, [(x - part.base) // part.step + 1 for x in inside(part)])
     return Incremented(
         part=part,
         new_set=Aprime,

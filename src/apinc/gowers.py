@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, charge
 from .polyphase import PolyPhase
+from .progressions import _check_range
 
 TOL = 2.0**-30
 
@@ -191,8 +192,7 @@ def gowers_norm(f, k):
     if k == 1:
         return float(abs(np.mean(values)))
     if k == 2:
-        fh = np.fft.fft(values) / M
-        return float(np.sum(np.abs(fh) ** 4)) ** 0.25
+        return _u2(np.fft.fft(values) / M)
     charge(M ** (k + 1), f"U^{k} on Z_{M}")
 
     def power(vals, j):
@@ -205,6 +205,11 @@ def gowers_norm(f, k):
         )
 
     return max(power(values, k), 0.0) ** (1.0 / 2**k)
+
+
+def _u2(fh):
+    """||f||_{U^2} from the Fourier coefficients fh of f."""
+    return float(np.sum(np.abs(fh) ** 4)) ** 0.25
 
 
 def _lambda_sum(vals, M):
@@ -237,25 +242,34 @@ def lambda_k_exact(sets_as_indicators, M):
 
 
 def ap_scan(A, k):
-    """(count, d, hits) from one pass over d = 1..(N-1)//(k-1): `count`
-    is the number of nontrivial k-APs in A, `d` the first difference
-    with the most of them and bit n of the int `hits` is set iff n, n+d,
-    .., n+(k-1)d all lie in A.  (0, 0, 0) when A has no k-AP.
+    """(count, d, hits) for the nontrivial k-APs of A: `count` is their
+    number, `d` the first difference with the most of them and bit n of
+    the int `hits` is set iff n, n+d, .., n+(k-1)d all lie in A.
+    (0, 0, 0) when A has no k-AP.  Sets with fewer than k members are
+    not scanned.
 
-    A is packed once into the int B = A.mask(), and for each d the
-    starts are B & (B >> d) & .. & (B >> (k-1)d); no window bound is
-    needed because B has no bits above N.  Sets with fewer than k
-    members scan nothing.  The scan costs about (k-1) ceil((N+1)/64)
-    word operations per d, and that total is checked against the work
-    budget on every call, before the memoised pass.
+    Two exact passes give the same answer; the one with the smaller cost
+    model runs, and that cost is checked against the work budget on
+    every call, before the memoised pass.  The bitmask scan (`_mask_scan`)
+    costs (k-1) ceil((N+1)/64) word operations for each of the
+    (N-1)//(k-1) differences; the member-pair pass (`_pair_pass`) costs
+    k-2 lookups for each of the m(m-1)/2 pairs of the m members, plus
+    N+1, one unit per bit of the mask `hits` it builds, so the budget
+    bounds that allocation before it is made.
     """
     if k < 3:
         raise InvalidArgumentError("k must be >= 3")
-    if len(A.members) < k:
+    m = len(A.members)
+    if m < k:
         return 0, 0, 0
     N = A.N
-    charge((N - 1) // (k - 1) * (k - 1) * -(-(N + 1) // 64), f"k-AP scan of [1..{N}]")
-    return _ap_pass(A, k)
+    words = -(-(N + 1) // 64)
+    scan = (N - 1) // (k - 1) * (k - 1) * words
+    pairs = m * (m - 1) // 2 * (k - 2) + N + 1
+    charge(min(scan, pairs), f"k-AP {'pair pass' if pairs < scan else 'scan'} of {m} members of [1..{N}]")
+    if pairs < scan:
+        _check_range(N)  # the pair pass computes in int64
+    return _ap_pass(A, k, pairs < scan)
 
 
 # Memoised on the last (A, k) so that the engine's ap_count(A, k) > 0 then
@@ -264,7 +278,14 @@ def ap_scan(A, k):
 # once a benchmark change re-points that test, the engine can call
 # find_ap alone and this memo can go.
 @functools.lru_cache(maxsize=1)
-def _ap_pass(A, k):
+def _ap_pass(A, k, by_pairs):
+    return (_pair_pass if by_pairs else _mask_scan)(A, k)
+
+
+def _mask_scan(A, k):
+    """`ap_scan` by bitmasks: A is packed once into the int B = A.mask(),
+    and for each d the starts are B & (B >> d) & .. & (B >> (k-1)d); no
+    window bound is needed because B has no bits above N."""
     B = A.mask()
     count, best_d, best_hits, best = 0, 0, 0, 0
     for d in range(1, (A.N - 1) // (k - 1) + 1):
@@ -276,6 +297,44 @@ def _ap_pass(A, k):
         if c > best:
             best, best_d, best_hits = c, d, hits
     return count, best_d, best_hits
+
+
+PAIR_BLOCK = 1 << 18  # pairs formed at once by the pair pass
+
+
+def _pair_pass(A, k):
+    """`ap_scan` by member pairs: a k-AP is fixed by its first and last
+    terms, so every pair a < b of members with k-1 dividing b - a is
+    tried, its k-2 interior points looked up by bisection in the sorted
+    members.  Exact int64 arithmetic (every point lies in [1..N]); the
+    only array over [1..N] is the packed `hits`, built when a progression
+    is found."""
+    ms = np.array(A.members, dtype=np.int64)
+    m = len(ms)
+    starts, diffs = [], []
+    rows = max(1, PAIR_BLOCK // m)
+    for lo in range(0, m - 1, rows):
+        gap = ms[None, lo + 1 :] - ms[lo : lo + rows, None]  # gap[i, j] = ms[lo+1+j] - ms[lo+i]
+        sel = (gap > 0) & (gap % (k - 1) == 0)
+        a = np.broadcast_to(ms[lo : lo + rows, None], gap.shape)[sel]
+        d = gap[sel] // (k - 1)
+        for t in range(1, k - 1):
+            x = a + t * d
+            found = ms[np.searchsorted(ms, x)] == x  # x < the last term, so the index is in range
+            a, d = a[found], d[found]
+        starts.append(a)
+        diffs.append(d)
+    a, d = np.concatenate(starts), np.concatenate(diffs)
+    if not len(d):
+        return 0, 0, 0
+    ds, counts = np.unique(d, return_counts=True)
+    best_d = int(ds[np.argmax(counts)])  # the first maximum: the smallest such d
+    n = a[d == best_d]
+    buf = np.zeros(A.N // 8 + 1, dtype=np.uint8)
+    np.bitwise_or.at(buf, n >> 3, np.left_shift(1, n & 7).astype(np.uint8))
+    raw = buf.tobytes()
+    del buf  # at most two N/8-byte buffers at once: the bytes, then the int
+    return len(d), best_d, int.from_bytes(raw, "little")
 
 
 def ap_count(A, k, nontrivial=True):
@@ -308,9 +367,9 @@ def inverse_u2(f, delta):
     and sum_r |f^(r)|^2 = E|f|^2 <= 1, the returned correlation is at
     least delta^2.  Returns None when the norm is below delta.
     """
-    if gowers_norm(f, 2) < delta:
-        return None
     fh = f.fourier()
+    if _u2(fh) < delta:
+        return None
     r = int(np.argmax(np.abs(fh)))
     return InverseWitness(PolyPhase.binomial([0, Fraction(r, f.M)]), f.M, float(abs(fh[r])))
 

@@ -144,6 +144,33 @@ def _diam_num(res, den):
     return best
 
 
+def _linear_diameters(phi, limit):
+    """Diameter numerators over phi.den, exact up to `limit`, of a phase
+    of degree at most 1 on progressions.  Such a phase is c*n/den plus a
+    constant mod 1 (its higher numerators are multiples of den), so two
+    points j apart differ by j*c*step and a part's diameter is the prefix
+    maximum of ||j*c*step|| over 0 < j < len.  One table is kept per
+    c*step mod den, extended only as far as a part asks and no further
+    than its first value above `limit`, which then stands for every
+    longer part."""
+    den, c, tables = phi.den, phi.num[1] if len(phi.num) > 1 else 0, {}
+
+    def diam_num(Q):
+        g = c * Q.step % den
+        if not g:
+            return 0
+        t = tables.setdefault(g, [0])  # t[j]: the diameter of j + 1 points
+        j, best = len(t), t[-1]
+        while j < Q.len and best <= limit:
+            r = j * g % den
+            best = max(best, min(r, den - r))
+            t.append(best)
+            j += 1
+        return t[min(Q.len, j) - 1]
+
+    return diam_num
+
+
 def _mono_from_bin(num):
     """Monomial numerators over d! (d = len(num) - 1) of sum num[j] C(n, j)."""
     d = len(num) - 1
@@ -445,7 +472,9 @@ def partition_polyphase(phi, P, eps):
 
     The residues of phi over P are walked once; every part's check and
     each merge trial reads its slice of them, and the check that keeps a
-    part measures its witness.
+    part measures its witness.  A phase of degree at most 1 builds no
+    residue list: a part's diameter depends only on its step and length,
+    and is read from a prefix-maximum table (`_linear_diameters`).
 
     Cost model, checked against the work budget before anything is
     built: a residue list over P walks d + 1 difference levels per point
@@ -458,10 +487,15 @@ def partition_polyphase(phi, P, eps):
         raise PreconditionError("eps must lie in (0, 1/2]")
     check_budget(P, len(phi.num) ** 2)
     den = phi.den
-    res = phi.residues(P)
+    # an integer numerator w over den is at most eps exactly when w <= limit
+    limit = eps_f.numerator * den // eps_f.denominator
+    if phi.degree <= 1:
+        diam_num = _linear_diameters(phi, limit)
+    else:
+        res = phi.residues(P)
 
-    def diam_num(Q):
-        return _diam_num(res[index_slice(P, Q)], den)
+        def diam_num(Q):
+            return _diam_num(res[index_slice(P, Q)], den)
 
     # the budget of degree s; every companion has a lower degree than its phase
     theta = [eps_f * BUDGET_WEIGHT / s**2 for s in range(1, phi.degree + 1)]
@@ -472,8 +506,6 @@ def partition_polyphase(phi, P, eps):
             return [(Q, None)]
         return reduce_degree_partition(phase, Q, theta[s - 1])
 
-    # an integer numerator w over den is at most eps exactly when w <= limit
-    limit = eps_f.numerator * den // eps_f.denominator
     parts, witnesses, _ = refine(P, phi, diam_num, limit, reduce)
     assert max(witnesses) <= limit
     return PartitionCertificate(

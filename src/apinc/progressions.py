@@ -20,7 +20,7 @@ def _check_range(*xs):
             raise IntegerRangeError(f"integer {x} outside the checked 64-bit range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-part __dict__: partitions keep thousands of parts
 class Progression:
     base: int
     step: int
@@ -155,14 +155,18 @@ def index_slice(P, Q):
     return slice(start, stop + 1, stride)
 
 
-def merge_parts(parts, wit, diam, limit):
+def merge_parts(parts, wit, diam, limit, failed, descending):
     """Coarsen a partition: greedily absorb a following contiguous
     same-step part (or a singleton) while the union's diameter is at
     most `limit`.  `wit` maps the base of each multi-point part to its
-    diameter; every union kept records its own there."""
+    diameter; every union kept records its own there.  A trial equal to
+    a part in `failed`, one already measured over `limit`, is refused
+    unmeasured.  Parts are walked by base in the source's direction
+    (`descending` for a negative step), so each part's continuation is
+    still unwalked when its turn comes; the result is in base order."""
     by_base = {p.base: p for p in parts}
     merged, used = [], set()
-    for b in sorted(by_base):
+    for b in sorted(by_base, reverse=descending):
         if b in used:
             continue
         cur = by_base[b]
@@ -177,6 +181,8 @@ def merge_parts(parts, wit, diam, limit):
                 trial = Progression(cur.base, cur.step, cur.len + 1)
             else:
                 break
+            if trial in failed:
+                break
             w = diam(trial)
             if w > limit:
                 break
@@ -184,7 +190,7 @@ def merge_parts(parts, wit, diam, limit):
             cur = trial
             wit[b] = w
         merged.append(cur)
-    return merged
+    return merged[::-1] if descending else merged
 
 
 def repair(parts, build):
@@ -226,11 +232,18 @@ def refine(P, root, diam, limit, reduce):
     `reduce`: the channels' level budgets sum to at most the limit, so a
     part over it does not end its reductions whole (the nil channel's
     float slack aside), and two points split only one way.  The kept
-    parts are re-merged under `limit`.  Returns the parts in base order,
+    parts are re-merged under `limit`, skipping every trial equal to a
+    part the visit measured over it.  Returns the parts in base order,
     their witnesses (the diameter measured by the visit or merge trial
     that kept each) and the deepest level reached (P is level 0).
+
+    `diam(Q)` must return the diameter when that is at most `limit`, and
+    may return any value above `limit` otherwise: such a value only
+    splits a part or refuses a merge.  A None-state part keeps what `diam`
+    returned, which the level budgets hold to at most `limit` (the nil
+    channel's float slack aside).
     """
-    parts, wit, depth = [], {}, 0  # wit: base -> diameter, multi-point parts only
+    parts, wit, failed, depth = [], {}, set(), 0  # wit: base -> diameter, multi-point parts only
 
     def visit(Q, state, level):
         nonlocal depth
@@ -242,6 +255,7 @@ def refine(P, root, diam, limit, reduce):
             parts.append(Q)
             wit[Q.base] = w
             return
+        failed.add(Q)
         depth = max(depth, level + 1)
         if Q.len == 2:
             parts.extend((Progression(Q.base, Q.step, 1), Progression(Q.last, Q.step, 1)))
@@ -250,5 +264,6 @@ def refine(P, root, diam, limit, reduce):
             visit(R, child, level + 1)
 
     visit(P, root, 0)
-    merged = merge_parts(parts, wit, diam, limit)
+    del visit  # a recursive closure is a cycle: free its state on return, not at a full collection
+    merged = merge_parts(parts, wit, diam, limit, failed, P.step < 0)
     return merged, [wit.get(p.base, 0) for p in merged], depth

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,33 @@ class TestCount:
         code, out, err = run(capsys, command, "--set", p, "--k", "3")
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "budget-exceeded"
+
+    # three members 1, N/2, N-1 forming one 3-AP: the member-pair pass
+    # charges one unit per bit of its N-bit mask, so under the default
+    # budget of 10^9 it answers in [1..10^7] with two N/8-byte buffers at
+    # most, and refuses [1..10^9] and [1..6*10^10] before allocating
+    @pytest.mark.parametrize("command", ["count", "roth"])
+    @pytest.mark.parametrize("N, budget", [(10**7, None), (10**7, "1000000"), (10**9, None), (6 * 10**10, None)])
+    def test_sparse_set_in_a_huge_window(self, tmp_path, capsys, monkeypatch, command, N, budget):
+        if budget:
+            monkeypatch.setenv("APINC_BUDGET", budget)
+        else:
+            monkeypatch.delenv("APINC_BUDGET", raising=False)
+        p = write_json(tmp_path / "a.json", {"N": N, "members": [1, N // 2, N - 1]})
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, "--set", p, "--k", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10**6
+        if budget or N >= 10**9:
+            assert code == 3 and out == "" and json.loads(err)["error"] == "budget-exceeded"
+        elif command == "count":
+            assert code == 0 and json.loads(out) == {"count": 4}  # with the 3 trivial progressions
+        else:
+            ap = {"base": 1, "step": N // 2 - 1, "len": 3}
+            assert code == 0 and json.loads(out) == {"variant": "ap-found", "progression": ap}
 
     @pytest.mark.parametrize("command, budget", [("count", "1e9"), ("roth", "abc")])
     def test_budget_not_an_integer(self, tmp_path, capsys, monkeypatch, command, budget):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +187,9 @@ class TestStep:
         alpha = A.density_exact
         hits = sum(1 for x in out.part.elements() if x in set(A.members))
         gain = Fraction(hits, out.part.len) - alpha
+        # the new set is A read in the part's own coordinates
+        assert out.new_set == DenseSet(out.part.len, [
+            i + 1 for i, x in enumerate(out.part.elements()) if x in set(A.members)])
         assert gain >= Fraction(out.delta_eff).limit_denominator(10**12) / 4 - Fraction(1, 2**29)
 
     def test_oracle_not_found_reported(self):
@@ -292,6 +296,21 @@ def bench_digit_set(seed, digits=10):
     rng = random.Random(seed)
     shift = sum(3**i for i in range(digits) if rng.random() < 0.5)
     return DenseSet(N, [1 + shift + x for x in base])
+
+
+def test_benchmark_inputs_keep_their_ap_pass():
+    # roth-digit's seed-0 set is sparse enough for the member-pair pass;
+    # a roth-random set (density 1/2 in [1..8192]) takes the bitmask scan
+    def pass_taken(A):
+        gowers._ap_pass.cache_clear()
+        with mock.patch.object(gowers, "_pair_pass", wraps=gowers._pair_pass) as pairs, \
+                mock.patch.object(gowers, "_mask_scan", wraps=gowers._mask_scan) as scan:
+            ap_count(A, 3)
+        assert pairs.call_count + scan.call_count == 1
+        return "pairs" if pairs.called else "scan"
+
+    assert pass_taken(bench_digit_set(0)) == "pairs"
+    assert pass_taken(random_sets(0, 1, 8192)[0]) == "scan"
 
 
 class TestOutcomeDigest:

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apinc.errors import BudgetExceededError, InvalidArgumentError
+from apinc import gowers
+from apinc.errors import BudgetExceededError, IntegerRangeError, InvalidArgumentError
 from apinc.gowers import (
     DenseSet,
     GroupFunction,
@@ -275,6 +276,29 @@ class TestApCount:
         # a set with fewer than k members scans nothing, whatever N
         assert ap_count(DenseSet(10**9, [1, 10**9]), 3) == 0
 
+    def test_pair_pass_budget(self, monkeypatch):
+        # 10 members of [1..10^6], k = 4: 45 pairs of 2 lookups each, and
+        # 10^6 + 1 bits for the mask, against about 10^10 words to scan
+        A = DenseSet(10**6, [1, 2, 3, 4, 9, 10, 11, 100, 10**6 - 1, 10**6])
+        monkeypatch.setenv("APINC_BUDGET", str(45 * 2 + 10**6 + 1))
+        assert ap_scan(A, 4) == (1, 1, 1 << 1)
+        monkeypatch.setenv("APINC_BUDGET", str(45 * 2 + 10**6))
+        with pytest.raises(BudgetExceededError):
+            ap_scan(A, 4)
+
+    def test_pair_pass_refuses_a_window_past_int64(self, monkeypatch):
+        # a budget large enough to admit the 2^64-bit mask
+        monkeypatch.setenv("APINC_BUDGET", str(2**65))
+        with pytest.raises(IntegerRangeError):
+            ap_scan(DenseSet(2**64, [1, 2, 3]), 3)
+
+    @given(data=st.data(), k=st.sampled_from([3, 4, 5]))
+    @settings(max_examples=200, deadline=None)
+    def test_pair_pass_matches_scan(self, data, k):
+        A = data.draw(scan_sets(k))
+        assume(len(A.members) >= k)
+        assert gowers._pair_pass(A, k) == gowers._mask_scan(A, k)
+
 
 class TestVonNeumann:
     def test_requires_bounded(self):
@@ -312,6 +336,15 @@ class TestInverseU2:
     def test_below_threshold_none(self):
         f = GroupFunction(np.zeros(16))
         assert inverse_u2(f, 0.5) is None
+
+    def test_one_transform(self, monkeypatch):
+        # the norm test and the witness read one FFT, and the norm is
+        # the same double gowers_norm computes
+        f = balanced(DenseSet(100, range(1, 101, 3)))
+        norm, fft, calls = gowers_norm(f, 2), np.fft.fft, []
+        monkeypatch.setattr(np.fft, "fft", lambda v: calls.append(1) or fft(v))
+        assert inverse_u2(f, norm) is not None and len(calls) == 1
+        assert inverse_u2(f, np.nextafter(norm, 1)) is None
 
 
 class TestCatalogInverse:

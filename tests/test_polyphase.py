@@ -10,6 +10,8 @@ from apinc.oracle import _horner, _phase_poly, brute_diam, verify_certificate
 from apinc.polyphase import (
     BUDGET_WEIGHT,
     PolyPhase,
+    _diam_num,
+    _linear_diameters,
     circle_diam,
     diam_on,
     partition_polyphase,
@@ -239,6 +241,24 @@ def brute_diam_phase(phi, part):
     return circle_diam([phi.eval(n) for n in part.elements()])
 
 
+def assert_merged_maximal(cert, coeffs, eps):
+    """Every part of a binomial-basis phase's certificate is within eps
+    with an exact witness, and every union the merge tried and refused
+    (one that starts a part where another ends, with its step or as a
+    point) exceeds it."""
+
+    def diam(parts):
+        return ref_diam([ref_value(coeffs, "binomial", n) for p in parts for n in p.elements()])
+
+    for p, w in zip(cert.parts, cert.diam_witness):
+        assert diam([p]) <= Fraction(eps) and w == float(diam([p]))
+    by_base = {p.base: p for p in cert.parts}
+    for M in cert.parts:
+        N = by_base.get(M.base + M.len * M.step)
+        if N is not None and (N.step == M.step or N.len == 1):
+            assert diam([M, N]) > Fraction(eps)
+
+
 class TestPartition:
     def test_trivial_phase_one_part(self):
         cert = partition_polyphase(PolyPhase.zero(), Progression(1, 1, 1000), 0.25)
@@ -302,27 +322,21 @@ class TestPartition:
         # ends, with its step or as a point) exceeds it
         coeffs = [Fraction(a, den) for a in nums]
         cert = partition_polyphase(PolyPhase.binomial(coeffs), Progression(base, step, length), eps)
-
-        def diam(parts):
-            return ref_diam([ref_value(coeffs, "binomial", n) for p in parts for n in p.elements()])
-
-        for p, w in zip(cert.parts, cert.diam_witness):
-            assert diam([p]) <= Fraction(eps) and w == float(diam([p]))
-        by_base = {p.base: p for p in cert.parts}
-        for M in cert.parts:
-            N = by_base.get(M.base + M.len * M.step)
-            if N is not None and (N.step == M.step or N.len == 1):
-                assert diam([M, N]) > Fraction(eps)
+        assert_merged_maximal(cert, coeffs, eps)
 
     def test_negative_step_source(self):
         # witnesses sliced from the root's residues equal a recompute on
-        # each part, on a source walked downwards
-        phi = PolyPhase.binomial([0, Fraction(1, 7), Fraction(1, 50000)])
+        # each part, on a source walked downwards, and the merge walks it
+        # downwards too: no two adjacent parts could have been joined
+        coeffs = [0, Fraction(1, 7), Fraction(1, 50000)]
+        phi = PolyPhase.binomial(coeffs)
         cert = partition_polyphase(phi, Progression(600, -3, 200), 0.2)
         assert verify_certificate(cert)["ok"]
         assert any(p.len > 1 and p.step < 0 for p in cert.parts)
         for p, w in zip(cert.parts, cert.diam_witness):
             assert w == float(diam_on(phi, p))
+        assert_merged_maximal(cert, coeffs, 0.2)
+        assert cert.num_parts == 109
 
     def test_rejects_bad_eps(self):
         with pytest.raises(PreconditionError):
@@ -386,11 +400,13 @@ class TestFailingPair:
 def test_criterion_5_input_reduces_once(monkeypatch):
     # the degree-2 Weyl step cuts 1..20000 into blocks of length <= 2:
     # those that fail split in the skeleton, so the root is the only
-    # reduction, and equal blocks share one tail check
+    # reduction, and equal blocks share one tail check; a merge trial
+    # equal to a part the visit measured over the limit is refused
+    # unmeasured, which leaves 19940 diameter evaluations
     import apinc.polyphase as polyphase
 
-    reduced, tails = [], []
-    reduce, within = polyphase.reduce_degree_partition, polyphase._within
+    reduced, tails, diams = [], [], []
+    reduce, within, diam_num = polyphase.reduce_degree_partition, polyphase._within, polyphase._diam_num
 
     def spy_reduce(phi, P, theta):
         reduced.append(P)
@@ -400,13 +416,19 @@ def test_criterion_5_input_reduces_once(monkeypatch):
         tails.append((tuple(num), den, length, bound))
         return within(num, den, length, bound)
 
+    def spy_diam_num(res, den):
+        diams.append(len(res))
+        return diam_num(res, den)
+
     monkeypatch.setattr(polyphase, "reduce_degree_partition", spy_reduce)
     monkeypatch.setattr(polyphase, "_within", spy_within)
+    monkeypatch.setattr(polyphase, "_diam_num", spy_diam_num)
     P = Progression(1, 1, 20000)
     cert = partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), P, 0.05)
     assert reduced == [P]
     assert 0 < len(tails) == len(set(tails))
     assert cert.num_parts == 18733
+    assert len(diams) == 19940
 
 
 def test_oracle_brute_diam_agrees():
@@ -536,3 +558,47 @@ class TestKernel:
         psi = PolyPhase(coeffs, basis).compose_affine_frac(a, b)
         assert ref_value(psi.coeffs, psi.basis, m) == ref_value(coeffs, basis, a * m + b)
         assert psi.basis == basis and psi.declared_degree == len(coeffs) - 1
+
+
+# ---------------------------------------------------------------------
+# Linear phases: prefix-maximum diameters
+
+
+@st.composite
+def linear_phases(draw):
+    """Phases of degree at most 1: rational or lifted-double slopes, an
+    integer slope (c = 0), or a declared quadratic whose C(n,2) numerator
+    is a multiple of the denominator."""
+    kind = draw(st.sampled_from(["rational", "float", "integer-slope", "quadratic-multiple"]))
+    if kind == "float":
+        return PolyPhase.binomial(draw(st.lists(st.floats(-4, 4), min_size=1, max_size=2)))
+    head = [draw(rationals), draw(st.integers(-3, 3) if kind == "integer-slope" else rationals)]
+    if kind == "quadratic-multiple":
+        head.append(draw(st.integers(-3, 3).filter(bool)))
+    return PolyPhase.binomial(head)
+
+
+class TestLinearDiameters:
+    @given(
+        phi=linear_phases(),
+        eps=st.fractions(0, Fraction(1, 2)),
+        parts=st.lists(
+            st.builds(Progression, st.integers(-300, 300), st.sampled_from([1, 2, 3, 7, -1, -2, -5]),
+                      st.integers(1, 300)),
+            min_size=1, max_size=6,
+        ),
+    )
+    @example(phi=PolyPhase.binomial([Fraction(1, 3), Fraction(2, 7), 5]), eps=Fraction(1, 7),
+             parts=[Progression(4, -3, 9), Progression(0, 1, 40), Progression(9, 2, 3)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_residue_diameter(self, phi, eps, parts):
+        # the tables, shared by parts of every step and length in any
+        # order, give the exact diameter whenever it or their value is at
+        # most the limit (so both are above it otherwise)
+        assert phi.degree <= 1
+        limit = eps.numerator * phi.den // eps.denominator
+        diam_num = _linear_diameters(phi, limit)
+        for Q in parts:
+            got, exact = diam_num(Q), _diam_num(phi.residues(Q), phi.den)
+            if got <= limit or exact <= limit:
+                assert got == exact

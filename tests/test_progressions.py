@@ -1,3 +1,4 @@
+import gc
 import json
 from collections import Counter
 from unittest import mock
@@ -196,6 +197,25 @@ class TestSkeleton:
         assert all(R.len <= cap and companion == R.len for R, companion in out)
         assert [R.base for R in got] == sorted(R.base for R in got)
 
+    def test_refine_leaves_no_reference_cycle(self):
+        # the recursive visit must not keep the parts it saw alive until
+        # the next full collection
+        def halve(state, Q):
+            h = Q.len // 2
+            return [
+                (Progression(Q.base, Q.step, h), state),
+                (Progression(Q.base + h * Q.step, Q.step, Q.len - h), state),
+            ]
+
+        gc.collect()
+        gc.disable()
+        try:
+            parts, _, _ = refine(Progression(0, 1, 64), 0, lambda Q: Q.len, 3, halve)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert [Q.len for Q in parts] == [2] * 32
+
     def test_refine_keeps_parts_whose_state_is_none(self):
         calls = []
 
@@ -233,9 +253,10 @@ class TestSkeleton:
         assert depth == 2
         # parts that fit, or whose state is None, are never reduced
         assert calls == [(P, 2), (Progression(4, 1, 4), 1)]
+        # the merge measures [0..5] and refuses [0..7] unmeasured: the
+        # visit already measured that union, P, over the limit
         visited = [P, Progression(0, 1, 4), Progression(4, 1, 4), Progression(4, 1, 2), Progression(6, 1, 2)]
-        merged = [Progression(0, 1, 6), Progression(0, 1, 8)]
-        assert measured == visited + merged
+        assert measured == visited + [Progression(0, 1, 6)]
 
     @pytest.mark.parametrize("step", [3, -3])
     def test_refine_splits_a_failing_pair_without_reduce(self, step):
