@@ -41,7 +41,7 @@ _OWNER = {
         " gowers_norm inverse_u2 lambda_k von_neumann_check",
         "nil": "LipschitzFunction Nilmanifold PolySequence lipschitz_catalog partition_nilsequence",
         "oracle": "brute_ap_count brute_gowers max_ap_free verify_certificate",
-        "polyphase": "PolyPhase diam_on partition_polyphase",
+        "polyphase": "PolyPhase partition_polyphase",
         "progressions": "PartitionCertificate Progression subdivide",
     }.items()
     for name in names.split()

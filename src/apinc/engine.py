@@ -134,11 +134,10 @@ def find_ap(A, k):
     difference with the most progressions (smallest on ties), then the
     smallest starting point, both read from `ap_scan`; right after
     `ap_count` on the same A this reuses that scan."""
-    _, d, hits = ap_scan(A, k)
-    if not hits:
+    _, d, n = ap_scan(A, k)
+    if not d:
         return None
-    n = (hits & -hits).bit_length() - 1
-    ms = A.members  # sorted: check by bisection, apart from the scan's mask
+    ms = A.members  # sorted: check by bisection, apart from the scan
     for x in range(n, n + k * d, d):
         j = bisect_left(ms, x)
         if j == len(ms) or ms[j] != x:

@@ -242,20 +242,17 @@ def lambda_k_exact(sets_as_indicators, M):
 
 
 def ap_scan(A, k):
-    """(count, d, hits) for the nontrivial k-APs of A: `count` is their
-    number, `d` the first difference with the most of them and bit n of
-    the int `hits` is set iff n, n+d, .., n+(k-1)d all lie in A.
-    (0, 0, 0) when A has no k-AP.  Sets with fewer than k members are
-    not scanned.
+    """(count, d, start) for the nontrivial k-APs of A: `count` is their
+    number, `d` the first difference with the most of them and `start`
+    the smallest n with n, n+d, .., n+(k-1)d all in A.  (0, 0, 0) when A
+    has no k-AP.  Sets with fewer than k members are not scanned.
 
     Two exact passes give the same answer; the one with the smaller cost
     model runs, and that cost is checked against the work budget on
     every call, before the memoised pass.  The bitmask scan (`_mask_scan`)
     costs (k-1) ceil((N+1)/64) word operations for each of the
     (N-1)//(k-1) differences; the member-pair pass (`_pair_pass`) costs
-    k-2 lookups for each of the m(m-1)/2 pairs of the m members, plus
-    N+1, one unit per bit of the mask `hits` it builds, so the budget
-    bounds that allocation before it is made.
+    k-2 lookups for each of the m(m-1)/2 pairs of the m members.
     """
     if k < 3:
         raise InvalidArgumentError("k must be >= 3")
@@ -265,7 +262,7 @@ def ap_scan(A, k):
     N = A.N
     words = -(-(N + 1) // 64)
     scan = (N - 1) // (k - 1) * (k - 1) * words
-    pairs = m * (m - 1) // 2 * (k - 2) + N + 1
+    pairs = m * (m - 1) // 2 * (k - 2)
     charge(min(scan, pairs), f"k-AP {'pair pass' if pairs < scan else 'scan'} of {m} members of [1..{N}]")
     if pairs < scan:
         _check_range(N)  # the pair pass computes in int64
@@ -284,10 +281,10 @@ def _ap_pass(A, k, by_pairs):
 
 def _mask_scan(A, k):
     """`ap_scan` by bitmasks: A is packed once into the int B = A.mask(),
-    and for each d the starts are B & (B >> d) & .. & (B >> (k-1)d); no
-    window bound is needed because B has no bits above N."""
+    and for each d the starts are the bits of B & (B >> d) & .. &
+    (B >> (k-1)d); no window bound is needed as B has no bits above N."""
     B = A.mask()
-    count, best_d, best_hits, best = 0, 0, 0, 0
+    count, best_d, start, best = 0, 0, 0, 0
     for d in range(1, (A.N - 1) // (k - 1) + 1):
         hits = B & (B >> d)
         for i in range(2, k):
@@ -295,8 +292,8 @@ def _mask_scan(A, k):
         c = hits.bit_count()
         count += c
         if c > best:
-            best, best_d, best_hits = c, d, hits
-    return count, best_d, best_hits
+            best, best_d, start = c, d, (hits & -hits).bit_length() - 1  # the lowest set bit
+    return count, best_d, start
 
 
 PAIR_BLOCK = 1 << 18  # pairs formed at once by the pair pass
@@ -306,9 +303,8 @@ def _pair_pass(A, k):
     """`ap_scan` by member pairs: a k-AP is fixed by its first and last
     terms, so every pair a < b of members with k-1 dividing b - a is
     tried, its k-2 interior points looked up by bisection in the sorted
-    members.  Exact int64 arithmetic (every point lies in [1..N]); the
-    only array over [1..N] is the packed `hits`, built when a progression
-    is found."""
+    members.  Exact int64 arithmetic (every point lies in [1..N]), and no
+    array over [1..N]."""
     ms = np.array(A.members, dtype=np.int64)
     m = len(ms)
     starts, diffs = [], []
@@ -329,22 +325,17 @@ def _pair_pass(A, k):
         return 0, 0, 0
     ds, counts = np.unique(d, return_counts=True)
     best_d = int(ds[np.argmax(counts)])  # the first maximum: the smallest such d
-    n = a[d == best_d]
-    buf = np.zeros(A.N // 8 + 1, dtype=np.uint8)
-    np.bitwise_or.at(buf, n >> 3, np.left_shift(1, n & 7).astype(np.uint8))
-    raw = buf.tobytes()
-    del buf  # at most two N/8-byte buffers at once: the bytes, then the int
-    return len(d), best_d, int.from_bytes(raw, "little")
+    return len(d), best_d, int(a[d == best_d].min())
 
 
 def ap_count(A, k, nontrivial=True):
     """Exact number of k-term APs in A (d > 0 if nontrivial, else d >= 0
     with each trivial progression counted once).
 
-    Direct enumeration: the count of the bitmask scan `ap_scan`, whose
-    pass `engine.find_ap` then reuses on the same A.  The Lambda_k
-    embedding identity (count over all signed d equals Lambda_k * M^2 on
-    the window) is exercised in tests, not relied on here.
+    Direct enumeration: the count of `ap_scan`, whose pass `engine.find_ap`
+    then reuses on the same A.  The Lambda_k embedding identity (count
+    over all signed d equals Lambda_k * M^2 on the window) is exercised
+    in tests, not relied on here.
     """
     return (0 if nontrivial else len(A.members)) + ap_scan(A, k)[0]
 

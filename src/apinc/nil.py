@@ -340,17 +340,18 @@ def reduce_dimension(Mf, g, F, P, eps):
     rest = [c for i, c in enumerate(g.coords) if i != pivot]
     h = PolySequence(rest)
 
-    def build(R):
-        F2 = F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
-        if R.len == 1:  # frozen at its only point: no deviation
-            return F2
+    def frozen(R):
+        return F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
+
+    def fits(R):
+        F2 = frozen(R)
         dev = max(
             abs(F.value(u) - F2.value(v))
             for u, v in zip(g.float_points(Mf, R), _phase_points(rest, R))
         )
-        return F2 if dev <= float(eps_f) + 2**-30 else None
+        return dev <= float(eps_f) + 2**-30
 
-    return [(R, succ, h, F2) for R, F2 in repair(cert.parts, build)]
+    return [(R, succ, h, frozen(R)) for R in repair(cert.parts, fits)]
 
 
 def partition_nilsequence(Mf, g, F, P, eps):

@@ -148,10 +148,16 @@ def _parse_phase(basis, exact, coeffs):
 
 
 def _phase_poly(ph):
-    exact = ph.get("exact", True)
+    """`_parse_phase` of a serialized phase; a binomial phase's expansion
+    is charged first, (d+1)^3 for its d+1 coefficients."""
+    exact, basis, coeffs = ph.get("exact", True), ph["basis"], tuple(ph["coeffs"])
     if type(exact) is not bool:  # bool("false") is True: read no string or number as a flag
         raise InvalidArgumentError(f"exact must be a JSON boolean, got {exact!r}")
-    return _parse_phase(ph["basis"], exact, tuple(ph["coeffs"]))
+    if basis not in ("binomial", "monomial"):
+        raise InvalidArgumentError(f"unknown phase basis {basis!r}")
+    if basis == "binomial":
+        charge(len(coeffs) ** 3, f"expansion of a binomial phase of {len(coeffs)} coefficients")
+    return _parse_phase(basis, exact, coeffs)
 
 
 def _horner(T, n):
@@ -195,8 +201,9 @@ def _heisenberg_point(coords, n):
 
 
 def _nil_value_fn(payload):
-    """Parse a nilsequence payload once; returns value(n), its function's
-    complex value at the serialized point of n."""
+    """Parse a nilsequence payload once; returns (value, steps): value(n)
+    is its function's complex value at the serialized point of n, and
+    `steps` the Horner steps of its highest-degree phase, at least 1."""
     kind, seq = payload["manifold"]["kind"], payload["sequence"]["coords"]
     if kind == "torus":
         coords, point = [_phase_poly(ph) for ph in seq], _torus_point
@@ -239,23 +246,25 @@ def _nil_value_fn(payload):
                 val *= w if fkind == "exp" else w.real if fkind == "exp_re" else w.imag
         return val
 
-    return value
+    return value, max([1] + [len(T) - 1 for _, T in coords])
 
 
 def _parse_channel(channel_payload, channel):
-    """Parse a serialized channel; returns diam(ns), its exhaustive
-    diameter over the points ns.
+    """Parse a serialized channel; returns (diam, steps): diam(ns) is its
+    exhaustive diameter over the points ns, and `steps` the work units
+    of one point, the Horner steps of its highest-degree phase, at least 1.
 
     Polyphase channel: circle metric, exact sorted sweep over integer
     residues.  Nilsequence channel: complex-modulus metric, pairwise scan.
     """
     if channel == "polyphase":
         D, T = _phase_poly(channel_payload["phase"])
-        return lambda ns: Fraction(_circle_sweep(sorted({_horner(T, n) % D for n in ns}), D), D)
+        steps = max(1, len(T) - 1)
+        return lambda ns: Fraction(_circle_sweep(sorted({_horner(T, n) % D for n in ns}), D), D), steps
     if channel == "nilsequence":
         import numpy as np
 
-        value = _nil_value_fn(channel_payload)
+        value, steps = _nil_value_fn(channel_payload)
 
         def diam(ns):
             vals = np.array([value(n) for n in ns])
@@ -264,22 +273,23 @@ def _parse_channel(channel_payload, channel):
                 best = max(best, float(np.max(np.abs(vals[i:] - vals[i]))))
             return best
 
-        return diam
+        return diam, steps
     raise InvalidArgumentError(f"unknown channel {channel!r}")
 
 
 def brute_diam(channel_payload, P, channel="polyphase"):
     """Exhaustive diameter of a serialized channel over a progression.
 
-    Charges `P.len` points and, on the nilsequence channel, `L(L-1)/2`
-    pairs against the work budget.  The points are walked, never listed;
-    the phase channel holds the distinct residues, the nilsequence
-    channel the `L` values.
+    Charges `P.len` points of `steps` units each (`_parse_channel`) and,
+    on the nilsequence channel, `L(L-1)/2` pairs against the work budget.
+    The points are walked, never listed; the phase channel holds the
+    distinct residues, the nilsequence channel the `L` values.
     """
-    charge(P.len, f"diameter over {P.len} points")
+    diam, steps = _parse_channel(channel_payload, channel)
+    charge(P.len * steps, f"diameter over {P.len} points")
     if channel == "nilsequence":
         charge(P.len * (P.len - 1) // 2, "pairwise nilsequence diameter")
-    return _parse_channel(channel_payload, channel)(range(P.base, P.base + P.len * P.step, P.step))
+    return diam(range(P.base, P.base + P.len * P.step, P.step))
 
 
 # ---------------------------------------------------------------------
@@ -293,12 +303,13 @@ def verify_certificate(cert):
 
     Checks disjointness, exact coverage of the source, the minimum part
     length, and recomputes every diameter witness with the independent
-    channel evaluator, after charging a nilsequence certificate's pairwise
-    scans (L(L-1)/2 per part of length L) against the work budget.  A
-    one-point part's diameter is 0 without evaluation; its witness is
-    still compared.  Raises CertificateError with a machine-readable
-    reason on the first violation ("malformed-certificate" when a field
-    it reads is missing, unreadable or not finite, or a count,
+    channel evaluator, after charging the source's points as `brute_diam`
+    does and a nilsequence certificate's pairwise scans (L(L-1)/2 per
+    part of length L) against the work budget.  A one-point part's
+    diameter is 0 without evaluation; its witness is still compared.
+    Raises CertificateError with a machine-readable reason on the first
+    violation ("malformed-certificate" when a field it reads is missing,
+    unreadable or not finite, a phase basis is unknown, or a count,
     progression field, factor coord or k is not an integer); returns a
     report dict on success.
     """
@@ -312,7 +323,8 @@ def verify_certificate(cert):
         if type(min_len) is not int:
             raise InvalidArgumentError(f"min_len must be an integer, got {min_len!r}")
         channel, payload = cert.get("channel", "polyphase"), cert["payload"]
-        _parse_channel(payload, channel)([source.base])  # one value evaluated
+        diam, steps = _parse_channel(payload, channel)
+        diam([source.base])  # one value evaluated
     except (
         InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
     ) as e:
@@ -320,7 +332,7 @@ def verify_certificate(cert):
     # NaN and infinity pass every comparison below: refuse them
     if not all(map(math.isfinite, [eps, *stored])):
         raise CertificateError("malformed-certificate", "epsilon and every diam must be finite")
-    charge(source.len, f"verification of {source.len} points")
+    charge(source.len * steps, f"verification of {source.len} points")
 
     # disjoint parts inside the source hold at most source.len points,
     # so the walks stop one point past that: a huge bogus part costs

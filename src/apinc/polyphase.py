@@ -291,9 +291,6 @@ class PolyPhase:
         """Value of the phase at integer n, reduced to [0, 1)."""
         return Fraction(self.residue(n), self.den)
 
-    def __call__(self, n):
-        return self.eval(n)
-
     # -- arithmetic ----------------------------------------------------
 
     def _binop(self, other, sign):
@@ -375,34 +372,33 @@ def _within(num, den, length, bound):
     return _diam_num(_values(num, 0, 1, length, den), den) * bound.denominator <= bound.numerator * den
 
 
-def _strip_leading(phi, Q, s, loc):
-    """Degree <= s-1 phase psi with phi - psi almost constant of order
-    ||leading|| * t^s on Q (exact construction; see reduce proof):
-    psi keeps the local monomial terms loc[:s] of phi on Q."""
+def companion(phi, R):
+    """The companion psi of phi on R, of degree below s = phi.degree (a
+    constant when s is 0): the local monomial terms of phi on R below
+    degree s, so phi - psi is the tail `_tail_fits` checks on R."""
+    s = max(phi.degree, 1)
+    loc = _local_monomial(phi, R)
     # psi(n) = sum_{i<s} loc[i] u^i / (den d!) with u = (n - base) / step,
     # an integer polynomial in n over den * d! * |step|^(s-1)
-    size, sign = abs(Q.step), (1 if Q.step > 0 else -1)
+    size, sign = abs(R.step), (1 if R.step > 0 else -1)
     w = [c * size ** (s - 1 - i) for i, c in enumerate(loc[:s])]
-    vals = [_horner(w, sign * (n - Q.base)) for n in range(s)]
+    vals = [_horner(w, sign * (n - R.base)) for n in range(s)]
     den = phi.den * factorial(len(loc) - 1) * size ** (s - 1)
     return PolyPhase._from_kernel(den, _differences(vals), "monomial", phi.exact)
 
 
-def _companion(phi, s, dl, theta, tested, R):
-    """The degree < s companion psi of phi on R, or None when phi - psi
-    leaves a diameter above theta on R.  A length-1 part always passes,
-    with the constant phi(R.base) as its companion.  `tested` memoises
-    the tail check on (tail, R.len), the only inputs it reads for fixed
-    s, dl and theta; at the top degree the tail does not depend on the
-    part's base, so equal blocks share one check."""
-    if R.len == 1:
-        return PolyPhase._from_kernel(phi.den, [phi.residue(R.base)], "monomial", phi.exact)
+def _tail_fits(phi, s, dl, theta, tested, R):
+    """Whether phi less its degree < s companion leaves a diameter of at
+    most theta on the multi-point part R.  `tested` memoises the check on
+    (tail, R.len), the only inputs it reads for fixed s, dl and theta; at
+    the top degree the tail does not depend on the part's base, so equal
+    blocks share one check."""
     loc = _local_monomial(phi, R)
     # phi - psi on R is the local tail sum_{i>=s} loc[i] t^i
     key = (tuple(loc[s:]), R.len)
     if key not in tested:
         tested[key] = _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta)
-    return _strip_leading(phi, R, s, loc) if tested[key] else None
+    return tested[key]
 
 
 def _block_len(ratio_floor, s, length, n_w):
@@ -412,8 +408,9 @@ def _block_len(ratio_floor, s, length, n_w):
 
 
 def reduce_degree_partition(phi, P, theta_target):
-    """Partition P so that on each part phi agrees with a phase of one
-    lower degree up to diameter theta_target (verified exhaustively).
+    """The parts, in base order, of a partition of P such that on each
+    part R phi agrees with `companion(phi, R)`, a phase of one lower
+    degree, up to diameter theta_target (verified exhaustively).
 
     Weyl step: kill the leading local coefficient along a common
     difference n_w, then chop into blocks whose leading-term variation
@@ -429,9 +426,8 @@ def reduce_degree_partition(phi, P, theta_target):
         raise PreconditionError("phase must have declared degree >= 1")
 
     s = phi.degree
-    if s == 0:
-        # constant mod 1 (e.g. c + 0*n): single part, constant companion
-        return [(P, PolyPhase._from_kernel(phi.den, [phi.residue(P.base)], "monomial", phi.exact))]
+    if s == 0:  # constant mod 1 (e.g. c + 0*n): single part, constant companion
+        return [P]
 
     dl = phi.den * factorial(phi.declared_degree)  # local monomial denominator
     lead = _local_monomial(phi, P)[s]
@@ -457,7 +453,7 @@ def reduce_degree_partition(phi, P, theta_target):
 
     # a module-level check, not a closure: closing over s and dl would
     # turn them into cells and slow the Weyl scan above
-    return repair(subdivide(P, n_w, ell), partial(_companion, phi, s, dl, theta, {}))
+    return repair(subdivide(P, n_w, ell), partial(_tail_fits, phi, s, dl, theta, {}))
 
 
 def partition_polyphase(phi, P, eps):
@@ -500,13 +496,15 @@ def partition_polyphase(phi, P, eps):
     # the budget of degree s; every companion has a lower degree than its phase
     theta = [eps_f * BUDGET_WEIGHT / s**2 for s in range(1, phi.degree + 1)]
 
-    def reduce(phase, Q):
+    def reduce(build, Q):  # a state builds its phase, only for a part reduced
+        phase = build()
         s = phase.degree
         if s == 0:  # constant mod 1: Q is kept whole
             return [(Q, None)]
-        return reduce_degree_partition(phase, Q, theta[s - 1])
+        cut = reduce_degree_partition(phase, Q, theta[s - 1])
+        return [(R, partial(companion, phase, R)) for R in cut]
 
-    parts, witnesses, _ = refine(P, phi, diam_num, limit, reduce)
+    parts, witnesses, _ = refine(P, lambda: phi, diam_num, limit, reduce)
     assert max(witnesses) <= limit
     return PartitionCertificate(
         source=P,

@@ -193,23 +193,21 @@ def merge_parts(parts, wit, diam, limit, failed, descending):
     return merged[::-1] if descending else merged
 
 
-def repair(parts, build):
-    """Halving repair: pair each part R with `build(R)`, its companion,
-    replacing any part for which `build` returns None (R failed its
-    check) by its two halves until every piece passes.  `build` must
-    accept length-1 parts.  Returns (part, companion) pairs in base
-    order."""
+def repair(parts, fits):
+    """Halving repair: replace any part R for which `fits(R)` is false
+    by its two halves until every piece fits.  A point always fits and
+    is never passed to `fits`, as `refine` keeps a point unevaluated.
+    Returns the parts in base order."""
     out, stack = [], parts[::-1]  # popped in the order given
     while stack:
         R = stack.pop()
-        companion = build(R)
-        if companion is not None:
-            out.append((R, companion))
+        if R.len == 1 or fits(R):
+            out.append(R)
         else:
             h = R.len // 2
             stack.append(Progression(R.base + h * R.step, R.step, R.len - h))
             stack.append(Progression(R.base, R.step, h))
-    out.sort(key=lambda t: t[0].base)
+    out.sort(key=lambda R: R.base)
     return out
 
 

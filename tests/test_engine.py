@@ -134,7 +134,7 @@ class TestFindAp:
     def test_postcondition_checks_the_set(self, monkeypatch):
         # a scan that reports a progression missing from A is caught
         A = DenseSet(16, [1, 2, 3])
-        monkeypatch.setattr("apinc.engine.ap_scan", lambda A, k: (1, 4, 1 << 1))
+        monkeypatch.setattr("apinc.engine.ap_scan", lambda A, k: (1, 4, 1))
         with pytest.raises(AssertionError):
             find_ap(A, 3)
 

@@ -41,7 +41,7 @@ def test_names_read_the_owning_module(monkeypatch):
     # a name cached in the package would keep a patched attribute after
     # it is restored, or miss the patch
     sentinel = object()
-    monkeypatch.setattr(apinc.polyphase, "diam_on", sentinel)
-    assert apinc.diam_on is sentinel
+    monkeypatch.setattr(apinc.polyphase, "partition_polyphase", sentinel)
+    assert apinc.partition_polyphase is sentinel
     monkeypatch.undo()
-    assert apinc.diam_on is apinc.polyphase.diam_on
+    assert apinc.partition_polyphase is apinc.polyphase.partition_polyphase

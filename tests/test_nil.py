@@ -93,7 +93,7 @@ class TestGroupLaw:
 def read_back(Mf, g, F, P):
     """Values at P's elements of the serialized (Mf, g, F), as the
     verifier, their one reader, evaluates them."""
-    value = _nil_value_fn({"manifold": Mf.to_json(), "sequence": g.to_json(), "function": F.to_json()})
+    value, _ = _nil_value_fn({"manifold": Mf.to_json(), "sequence": g.to_json(), "function": F.to_json()})
     return np.array([value(n) for n in P.elements()])
 
 

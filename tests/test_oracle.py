@@ -211,6 +211,7 @@ class TestVerify:
             lambda c: c["parts"][0].pop("len"),
             lambda c: c.update(channel="sphere"),
             lambda c: c["payload"]["phase"].pop("coeffs"),
+            lambda c: c["payload"]["phase"].update(basis="bogus"),
             lambda c: c["parts"][0].update(step=0),
             lambda c: c.update(channel="nilsequence", payload={
                 "manifold": {"kind": "sphere", "dim": 1},
@@ -219,7 +220,7 @@ class TestVerify:
             }),
         ],
         ids=["eps-nan", "eps-inf", "diam-nan", "part-no-len", "unknown-channel", "phase-no-coeffs",
-             "part-zero-step", "unknown-manifold"],
+             "phase-unknown-basis", "part-zero-step", "unknown-manifold"],
     )
     def test_malformed_refused(self, tamper):
         # NaN or infinite bounds would pass every comparison unnoticed
@@ -519,7 +520,7 @@ def _nil_payload(draw):
 @given(payload=_nil_payload(), ns=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_integer_points_bit_identical_to_fractions(payload, ns):
-    value = _nil_value_fn(payload)
+    value, _ = _nil_value_fn(payload)
     got = np.array([value(n) for n in ns], dtype=complex)
     want = np.array([_reference_value(payload, n) for n in ns], dtype=complex)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
@@ -599,6 +600,22 @@ class TestBruteDiamBudget:
         monkeypatch.setenv("APINC_BUDGET", "999")
         with pytest.raises(BudgetExceededError):
             brute_diam(payload, P)
+
+    def test_points_charged_by_degree(self, monkeypatch):
+        # a degree-3 phase: 3 Horner steps a point, after an expansion of 4^3
+        payload = {"phase": PolyPhase.binomial([0, "1/4", "1/8", "1/16"]).to_json()}
+        P = Progression(1, 1, 100)
+        monkeypatch.setenv("APINC_BUDGET", "300")
+        assert brute_diam(payload, P) > 0
+        assert verify_certificate(_one_part_cert("polyphase", payload, P, 0.5, 0.5))["ok"]
+        monkeypatch.setenv("APINC_BUDGET", "299")
+        with pytest.raises(BudgetExceededError):
+            brute_diam(payload, P)
+        with pytest.raises(BudgetExceededError):
+            verify_certificate(_one_part_cert("polyphase", payload, P, 0.5, 0.5))
+        monkeypatch.setenv("APINC_BUDGET", "63")
+        with pytest.raises(BudgetExceededError, match="expansion"):
+            brute_diam(payload, Progression(1, 1, 1))
 
     def test_nil_pairs_charged(self, monkeypatch):
         payload = _torus1(PolyPhase.monomial([0, "1/2"]), _E_X)

@@ -13,6 +13,7 @@ from apinc.polyphase import (
     _diam_num,
     _linear_diameters,
     circle_diam,
+    companion,
     diam_on,
     partition_polyphase,
     reduce_degree_partition,
@@ -153,19 +154,18 @@ class TestReduceDegree:
     def test_half_n_residues(self):
         phi = PolyPhase.monomial([0, Fraction(1, 2)])
         out = reduce_degree_partition(phi, Progression(1, 1, 16), Fraction(1, 100))
-        for part, psi in out:
+        for part in out:
+            psi = companion(phi, part)
             assert psi.degree < phi.degree
             assert brute_diam_phase(phi - psi, part) <= Fraction(1, 100)
-        covered = sorted(x for part, _ in out for x in part.elements())
+        covered = sorted(x for part in out for x in part.elements())
         assert covered == list(range(1, 17))
 
     def test_constant_mod_one(self):
         phi = PolyPhase.monomial([Fraction(1, 3), 0])
         out = reduce_degree_partition(phi, Progression(1, 1, 40), Fraction(1, 10))
-        assert len(out) == 1
-        part, psi = out[0]
-        assert part == Progression(1, 1, 40)
-        assert psi.eval(0) == Fraction(1, 3)
+        assert out == [Progression(1, 1, 40)]
+        assert companion(phi, out[0]).eval(0) == Fraction(1, 3)
 
     @given(
         coeffs=st.lists(rationals, min_size=2, max_size=3),
@@ -181,7 +181,8 @@ class TestReduceDegree:
         out = reduce_degree_partition(phi, P, theta)
         covered = []
         s = phi.degree
-        for part, psi in out:
+        for part in out:
+            psi = companion(phi, part)
             covered.extend(part.elements())
             assert psi.degree <= max(s - 1, 0)
             assert brute_diam_phase(phi - psi, part) <= theta
@@ -214,27 +215,55 @@ class TestReduceDegree:
         phi = PolyPhase.binomial(coeffs + ([] if top is None else [top]))
         P = Progression(base, step, length)
         memo = reduce_degree_partition(phi, P, theta)
-        companion = polyphase._companion
+        tail_fits = polyphase._tail_fits
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
                 polyphase,
-                "_companion",
-                lambda phi, s, dl, theta, tested, R: companion(phi, s, dl, theta, {}, R),
+                "_tail_fits",
+                lambda phi, s, dl, theta, tested, R: tail_fits(phi, s, dl, theta, {}, R),
             )
             fresh = reduce_degree_partition(phi, P, theta)
-        assert [(R, psi.den, psi.num) for R, psi in memo] == [
-            (R, psi.den, psi.num) for R, psi in fresh
+        assert [(R, psi.den, psi.num) for R, psi in with_companions(phi, memo)] == [
+            (R, psi.den, psi.num) for R, psi in with_companions(phi, fresh)
         ]
 
-    def test_singleton_companion_is_the_point_value(self):
-        # a length-1 part gets the constant phi(base), not a stripped phase
+    def test_repair_never_checks_a_point(self, monkeypatch):
+        # a point always fits: in both channels, repair keeps the points
+        # of a halved part without passing them to the channel's check
+        import apinc.nil as nil
+        import apinc.polyphase as polyphase
+        from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, reduce_dimension
+
+        calls = {}  # module -> (lengths kept, lengths checked)
+
+        def spy_repair(module):
+            kept, checked = calls[module] = [], []
+            repair = module.repair
+
+            def spy(parts, fits):
+                out = repair(parts, lambda R: checked.append(R.len) or fits(R))
+                kept.extend(R.len for R in out)
+                return out
+
+            monkeypatch.setattr(module, "repair", spy)
+
+        spy_repair(polyphase)
+        spy_repair(nil)
         phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
-        out = reduce_degree_partition(phi, Progression(1, 1, 200), Fraction(1, 100))
-        singles = [(R, psi) for R, psi in out if R.len == 1]
-        assert singles
-        for R, psi in singles:
-            assert psi.degree == 0
-            assert psi.eval(R.base) == phi.eval(R.base)
+        reduce_degree_partition(phi, Progression(1, 1, 200), Fraction(1, 100))
+        g = PolySequence(
+            [PolyPhase.monomial([0, math.sqrt(2)]), PolyPhase.monomial([0, math.sqrt(3)]), PolyPhase.zero()]
+        )
+        F = lipschitz_catalog("e(x)*cutoff")
+        for eps in (Fraction(1, 10), Fraction(1, 2)):  # pivot parts of length 1, then 4-6
+            reduce_dimension(Nilmanifold.heisenberg(), g, F, Progression(1, 1, 300), eps)
+        for kept, checked in calls.values():
+            assert 1 in kept and 1 not in checked
+            assert checked
+
+
+def with_companions(phi, parts):
+    return [(R, companion(phi, R)) for R in parts]
 
 
 def brute_diam_phase(phi, part):
@@ -364,8 +393,8 @@ def reduced_leaves(phi, Q, eps):
         if R.len == 1 or diam_on(phi, R) <= eps or phase.degree == 0:
             leaves.append(R)
         else:
-            for S, child in reduce_degree_partition(phase, R, theta[phase.degree - 1]):
-                visit(S, child)
+            for S in reduce_degree_partition(phase, R, theta[phase.degree - 1]):
+                visit(S, companion(phase, S))
 
     visit(Q, phi)
     return leaves
@@ -400,12 +429,13 @@ class TestFailingPair:
 def test_criterion_5_input_reduces_once(monkeypatch):
     # the degree-2 Weyl step cuts 1..20000 into blocks of length <= 2:
     # those that fail split in the skeleton, so the root is the only
-    # reduction, and equal blocks share one tail check; a merge trial
-    # equal to a part the visit measured over the limit is refused
-    # unmeasured, which leaves 19940 diameter evaluations
+    # reduction, no block's companion is built, and equal blocks share
+    # one tail check; a merge trial equal to a part the visit measured
+    # over the limit is refused unmeasured, which leaves 19940 diameter
+    # evaluations
     import apinc.polyphase as polyphase
 
-    reduced, tails, diams = [], [], []
+    reduced, tails, diams, companions = [], [], [], []
     reduce, within, diam_num = polyphase.reduce_degree_partition, polyphase._within, polyphase._diam_num
 
     def spy_reduce(phi, P, theta):
@@ -423,9 +453,11 @@ def test_criterion_5_input_reduces_once(monkeypatch):
     monkeypatch.setattr(polyphase, "reduce_degree_partition", spy_reduce)
     monkeypatch.setattr(polyphase, "_within", spy_within)
     monkeypatch.setattr(polyphase, "_diam_num", spy_diam_num)
+    monkeypatch.setattr(polyphase, "companion", lambda phi, R: companions.append(R))
     P = Progression(1, 1, 20000)
     cert = partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), P, 0.05)
     assert reduced == [P]
+    assert companions == []
     assert 0 < len(tails) == len(set(tails))
     assert cert.num_parts == 18733
     assert len(diams) == 19940
