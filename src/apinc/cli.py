@@ -87,19 +87,23 @@ def load_json(path):
 
 
 def emit(obj, out=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    write_text(json.dumps(obj, indent=2, sort_keys=True), out)
+
+
+def write_text(text, out):
+    """Write text and a newline to the file `out`, or to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
 
 
 def emit_partition(cert, out):
-    """Write a partition certificate, and its summary on stderr: part
-    count, shortest part, largest witness and, when the payload records
-    one, the reduction depth."""
-    emit(cert.to_json(), out=out)
+    """Write a partition certificate, in `emit`'s bytes, and its summary
+    on stderr: part count, shortest part, largest witness and, when the
+    payload records one, the reduction depth."""
+    write_text(cert.to_json_text(), out)
     summary = {"num_parts": cert.num_parts, "min_len": cert.min_len, "max_diam": max(cert.diam_witness)}
     if "depth" in cert.payload:
         summary["depth"] = cert.payload["depth"]

@@ -35,6 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -314,7 +315,19 @@ def reduce_dimension(Mf, g, F, P, eps):
     catalog functions are products of periodic per-coordinate factors,
     the deviation bound |F - F_frozen| <= L_pivot * coordinate-distance
     is exact; it is still re-checked exhaustively, with halving repair.
+    Returns [(R, succ, h, F_R)], one per part.
     """
+    parts, state, _ = _pivot(Mf, g, F, P, eps)
+    return [(R, *state(R)) for R in parts]
+
+
+def _pivot(Mf, g, F, P, eps):
+    """The cut of `reduce_dimension`: (parts, state, live).  state(R) is
+    the nilsequence (succ, h, F_R) handed to the part R, with F frozen
+    only when it is called; `live` says whether those nilsequences have
+    a coordinate left to freeze, which is the same for every part: their
+    manifold is `succ`, and their function keeps F's factors off the
+    pivot whatever the part."""
     _check_compat(Mf, g, F)
     if Mf.dim < 1:
         raise PreconditionError("manifold must have dimension >= 1")
@@ -323,7 +336,7 @@ def reduce_dimension(Mf, g, F, P, eps):
         raise PreconditionError("eps must lie in (0, 1/2]")
 
     if not F.factors:
-        return [(P, Nilmanifold.torus(0), PolySequence([]), F)]
+        return [P], lambda R: (Nilmanifold.torus(0), PolySequence([]), F), False
 
     # a torus loses the pivot coordinate; the Heisenberg quotient
     # (dim 3) leaves the 2-torus of its other two coordinates
@@ -351,7 +364,8 @@ def reduce_dimension(Mf, g, F, P, eps):
         )
         return dev <= float(eps_f) + 2**-30
 
-    return [(R, succ, h, frozen(R)) for R in repair(cert.parts, fits)]
+    live = succ.dim > 0 and any(f.coord != pivot for f in F.factors)
+    return repair(cert.parts, fits), lambda R: (succ, h, frozen(R)), live
 
 
 def partition_nilsequence(Mf, g, F, P, eps):
@@ -387,13 +401,13 @@ def partition_nilsequence(Mf, g, F, P, eps):
     def diam(Q):
         return complex_diam(vals[index_slice(P, Q)])
 
-    def live(Mf2, g2, F2):  # None once no coordinate is left to freeze
-        return (Mf2, g2, F2) if F2.factors and Mf2.dim else None
+    def reduce(build, Q):  # a state builds its nilsequence, only for a part reduced
+        parts, state, live = _pivot(*build(), Q, level_eps)
+        return [(R, partial(state, R) if live else None) for R in parts]
 
-    def reduce(state, Q):
-        return [(R, live(*rest)) for R, *rest in reduce_dimension(*state, Q, level_eps)]
-
-    parts, witnesses, max_depth = refine(P, live(Mf, g, F), diam, eps_val, reduce)
+    # None once no coordinate is left to freeze
+    root = (lambda: (Mf, g, F)) if F.factors and Mf.dim else None
+    parts, witnesses, max_depth = refine(P, root, diam, eps_val, reduce)
     assert all(w <= eps_val + 2**-35 for w in witnesses)
     return PartitionCertificate(
         source=P,

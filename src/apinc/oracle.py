@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetExceededError, CertificateError, InvalidArgumentError, charge
-from .progressions import Progression
+from .progressions import INT_BOUND, Progression
 
 
 # ---------------------------------------------------------------------
@@ -298,6 +298,30 @@ def brute_diam(channel_payload, P, channel="polyphase"):
 VERIFY_TOL = 2.0**-30
 
 
+def _triple(obj):
+    """(base, step, len) of a serialized progression, with the checks a
+    `Progression` makes: integer fields (a bool, float or string is
+    refused, never rounded), len >= 1, step != 0, and base, step and the
+    last element inside the 64-bit range."""
+    base, step, n = obj["base"], obj["step"], obj["len"]
+    if not (type(base) is type(step) is type(n) is int):
+        raise InvalidArgumentError(f"base, step and len must be integers, got {(base, step, n)!r}")
+    if n < 1:
+        raise InvalidArgumentError(f"len must be >= 1, got {n}")
+    if not step:
+        raise InvalidArgumentError("step must be nonzero")
+    for x in base, step, base + (n - 1) * step:
+        if not -INT_BOUND <= x < INT_BOUND:
+            raise InvalidArgumentError(f"integer {x} outside the checked 64-bit range")
+    return base, step, n
+
+
+def _holds(base, step, n, x):
+    """Whether x is an element of the progression (base, step, n)."""
+    q, r = divmod(x - base, step)
+    return r == 0 and 0 <= q < n
+
+
 def verify_certificate(cert):
     """Re-verify a PartitionCertificate JSON object from scratch.
 
@@ -305,26 +329,29 @@ def verify_certificate(cert):
     length, and recomputes every diameter witness with the independent
     channel evaluator, after charging the source's points as `brute_diam`
     does and a nilsequence certificate's pairwise scans (L(L-1)/2 per
-    part of length L) against the work budget.  A one-point part's
+    part of length L) against the work budget.  The source and the parts
+    are read as integer triples (base, step, len); only a multi-point
+    part becomes a `Progression`, for `brute_diam`.  A one-point part's
     diameter is 0 without evaluation; its witness is still compared.
     Raises CertificateError with a machine-readable reason on the first
     violation ("malformed-certificate" when a field it reads is missing,
-    unreadable or not finite, a phase basis is unknown, or a count,
-    progression field, factor coord or k is not an integer); returns a
-    report dict on success.
+    unreadable or not finite, a phase basis is unknown, a count,
+    progression field, factor coord or k is not an integer, or a
+    progression is empty, has step 0 or leaves the 64-bit range); returns
+    a report dict on success.
     """
     if hasattr(cert, "to_json"):
         cert = cert.to_json()
     try:  # every field read below, parsed up front
-        source = Progression.from_json(cert["source"])
-        parts = [Progression.from_json(p) for p in cert["parts"]]
+        B, S, N = _triple(cert["source"])
+        parts = [_triple(p) for p in cert["parts"]]
         stored = [float(p["diam"]) for p in cert["parts"]]
         eps, min_len = float(cert["epsilon"]), cert["min_len"]
         if type(min_len) is not int:
             raise InvalidArgumentError(f"min_len must be an integer, got {min_len!r}")
         channel, payload = cert.get("channel", "polyphase"), cert["payload"]
         diam, steps = _parse_channel(payload, channel)
-        diam([source.base])  # one value evaluated
+        diam([B])  # one value evaluated
     except (
         InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
     ) as e:
@@ -332,25 +359,24 @@ def verify_certificate(cert):
     # NaN and infinity pass every comparison below: refuse them
     if not all(map(math.isfinite, [eps, *stored])):
         raise CertificateError("malformed-certificate", "epsilon and every diam must be finite")
-    charge(source.len * steps, f"verification of {source.len} points")
+    charge(N * steps, f"verification of {N} points")
 
-    # disjoint parts inside the source hold at most source.len points,
-    # so the walks stop one point past that: a huge bogus part costs
-    # about source.len points and is refused as coverage-excess below
-    B, S, N = source.base, source.step, source.len
-    covered = bytearray(N)  # covered[q]: source[q] lies in a part walked so far
+    # disjoint parts inside the source hold at most N points, so the
+    # walks stop one point past that: a huge bogus part costs about N
+    # points and is refused as coverage-excess below
+    covered = bytearray(N)  # covered[q]: source point B + q*S lies in a part walked so far
     walked, excess = 0, None  # excess: the smallest walked point outside the source
-    for pi, p in enumerate(parts):
-        n = min(p.len, N + 1 - walked)
+    for pi, (b, s, n) in enumerate(parts):
+        n = min(n, N + 1 - walked)
         walked += n
-        for x in range(p.base, p.base + n * p.step, p.step):
+        for x in range(b, b + n * s, s):
             q, r = divmod(x - B, S)
             if r or not 0 <= q < N:
                 excess = x if excess is None else min(excess, x)
             elif covered[q]:
                 # every earlier part was walked whole, so the first
                 # part that holds x is the one that marked it
-                first = next(j for j, o in enumerate(parts) if x in o)
+                first = next(j for j, (b2, s2, n2) in enumerate(parts) if _holds(b2, s2, n2, x))
                 raise CertificateError(
                     "parts-not-disjoint", f"element {x} appears in parts {first} and {pi}"
                 )
@@ -361,23 +387,19 @@ def verify_certificate(cert):
     # the smallest uncovered point has the lowest index iff the step is positive
     q = covered.find(0) if S > 0 else covered.rfind(0)
     if q >= 0:
-        raise CertificateError(
-            "coverage-gap", f"element {source[q]} is not covered by any part"
-        )
+        raise CertificateError("coverage-gap", f"element {B + q * S} is not covered by any part")
 
-    for pi, p in enumerate(parts):
-        if p.len < min_len:
-            raise CertificateError(
-                "min-len-violated", f"part {pi} has length {p.len} < {min_len}"
-            )
+    for pi, (_, _, n) in enumerate(parts):
+        if n < min_len:
+            raise CertificateError("min-len-violated", f"part {pi} has length {n} < {min_len}")
 
     if channel == "nilsequence":  # brute_diam scans every pair of a part
-        charge(sum(p.len * (p.len - 1) // 2 for p in parts), "pairwise nilsequence diameters")
+        charge(sum(n * (n - 1) // 2 for _, _, n in parts), "pairwise nilsequence diameters")
 
     witnesses = []
-    for pi, (p, w) in enumerate(zip(parts, stored)):
+    for pi, ((b, s, n), w) in enumerate(zip(parts, stored)):
         # a one-point part has diameter 0: its witness is still compared
-        d = float(brute_diam(payload, p, channel=channel)) if p.len > 1 else 0.0
+        d = float(brute_diam(payload, Progression(b, s, n), channel=channel)) if n > 1 else 0.0
         if d > eps + VERIFY_TOL:
             raise CertificateError(
                 "diam-exceeds-epsilon",
@@ -393,6 +415,6 @@ def verify_certificate(cert):
         "ok": True,
         "channel": channel,
         "num_parts": len(parts),
-        "min_len": min(p.len for p in parts),
+        "min_len": min(n for _, _, n in parts),
         "max_diam": max(witnesses) if witnesses else 0.0,
     }

@@ -391,13 +391,19 @@ def _tail_fits(phi, s, dl, theta, tested, R):
     """Whether phi less its degree < s companion leaves a diameter of at
     most theta on the multi-point part R.  `tested` memoises the check on
     (tail, R.len), the only inputs it reads for fixed s, dl and theta; at
-    the top degree the tail does not depend on the part's base, so equal
-    blocks share one check."""
-    loc = _local_monomial(phi, R)
-    # phi - psi on R is the local tail sum_{i>=s} loc[i] t^i
-    key = (tuple(loc[s:]), R.len)
+    the top degree the tail is the top monomial term alone, which depends
+    only on the part's step, so equal blocks share one check and no local
+    expansion is built for them."""
+    if s == phi.declared_degree:
+        # the top monomial numerator over den * s! is num[s]; on R's index
+        # line it is scaled by step^s
+        tail = (phi.num[s] * R.step**s,)
+    else:
+        tail = tuple(_local_monomial(phi, R)[s:])
+    # phi - psi on R is the local tail sum_{i>=s} tail[i-s] t^i
+    key = (tail, R.len)
     if key not in tested:
-        tested[key] = _within(_bin_from_mono([0] * s + loc[s:]), dl, R.len, theta)
+        tested[key] = _within(_bin_from_mono([0] * s + list(tail)), dl, R.len, theta)
     return tested[key]
 
 

@@ -7,11 +7,19 @@ certificate whose elements silently left the machine-word range would
 not be checkable by external tools, so we reject it up front.
 """
 
+import json
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .errors import IntegerRangeError, InvalidArgumentError, charge
 
 INT_BOUND = 2**63
+
+# one part as json.dumps(..., indent=2, sort_keys=True) lays it out in a
+# certificate: an item of the top-level "parts" list
+_ROW = '\n    {\n      "base": %d,\n      "diam": %s,\n      "len": %d,\n      "step": %d\n    }'
+# a newline and two spaces open a top-level key: strings escape their newlines
+_NO_PARTS = '\n  "parts": []'
 
 
 def _check_range(*xs):
@@ -103,17 +111,34 @@ class PartitionCertificate:
         return len(self.parts)
 
     def to_json(self):
+        rows = [dict(p.to_json(), diam=float(w)) for p, w in zip(self.parts, self.diam_witness)]
+        return self._json(rows)
+
+    def _json(self, parts):
         return {
             "channel": self.channel,
             "source": self.source.to_json(),
             "epsilon": float(self.epsilon),
             "min_len": self.min_len,
-            "parts": [
-                dict(p.to_json(), diam=float(w))
-                for p, w in zip(self.parts, self.diam_witness)
-            ],
+            "parts": parts,
             "payload": self.payload,
         }
+
+    def to_json_text(self):
+        """`json.dumps(self.to_json(), indent=2, sort_keys=True)`, byte
+        for byte, with each part formatted directly as a fixed row: the
+        pure-Python encoder that `indent` forces costs far more per part.
+        A witness is written as `repr(float(w))`, json's own form of a
+        finite float; a non-finite one is refused, never written."""
+        ws = [float(w) for w in self.diam_witness]
+        if not all(map(isfinite, ws)):
+            raise InvalidArgumentError("every diameter witness must be finite")
+        text = json.dumps(self._json([]), indent=2, sort_keys=True)
+        if not self.parts:
+            return text
+        head, tail = text.split(_NO_PARTS)
+        rows = ",".join([_ROW % (p.base, repr(w), p.len, p.step) for p, w in zip(self.parts, ws)])
+        return f'{head}\n  "parts": [{rows}\n  ]{tail}'
 
 
 def subdivide(P, mult, block):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -7,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apinc.cli import main, parse_coeff, parse_phase, parse_range
+from apinc.cli import emit_partition, main, parse_coeff, parse_phase, parse_range
 from apinc.errors import BudgetExceededError, InvalidArgumentError
 from apinc.gowers import DenseSet, GroupFunction
+from apinc.polyphase import PolyPhase, partition_polyphase
+from apinc.progressions import Progression
 
 
 def write_json(path, obj):
@@ -372,6 +375,33 @@ class TestPartitionAndVerify:
         assert code == 2 and out == ""
         assert json.loads(err)["reason"] == "malformed-certificate"
 
+    # the verifier reads parts as integer triples with every check a
+    # Progression makes: each case is refused as malformed, in the source
+    # and in a part
+    @pytest.mark.parametrize("where", ["source", "part"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"len": 0},
+            {"step": 0},
+            {"step": True},
+            {"len": 2.0},
+            {"base": "1"},
+            {"base": 2**63},
+            {"base": 2**63 - 1, "step": 1, "len": 2},
+        ],
+        ids=["len-0", "step-0", "bool", "float", "string", "base-past-2^63", "last-past-2^63"],
+    )
+    def test_malformed_progression_refused(self, tmp_path, capsys, where, fields):
+        out_path = tmp_path / "cert.json"
+        run(capsys, "partition-phase", "--phase", "1/8 n", "--range", "1..64",
+            "--eps", "0.05", "--out", str(out_path))
+        cert = json.loads(out_path.read_text())
+        (cert["source"] if where == "source" else cert["parts"][0]).update(fields)
+        code, out, err = self._verify(tmp_path, capsys, cert)
+        assert code == 2 and out == ""
+        assert json.loads(err)["reason"] == "malformed-certificate"
+
     # a phase's `exact` flag is a JSON boolean or absent: read with
     # bool(), "false" would verify the decimal phase 1/10, 3/10 in place
     # of the doubles the certificate was built from
@@ -422,6 +452,22 @@ class TestPartitionAndVerify:
             run(capsys, "partition-phase", "--phase", "1/7 n", "--range", "1..70",
                 "--eps", "0.1", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    # the certificate is formatted row by row, in the bytes of
+    # json.dumps(indent=2, sort_keys=True), whose pure-Python encoder
+    # peaked at 18.7 MB on criterion 5's certificate
+    def test_criterion_5_certificate_written_in_little_memory(self, tmp_path, capsys):
+        phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
+        cert = partition_polyphase(phi, Progression(1, 1, 20000), 0.05)
+        path = tmp_path / "cert.json"
+        tracemalloc.start()
+        try:
+            emit_partition(cert, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 10**6
+        assert path.read_text() == json.dumps(cert.to_json(), indent=2, sort_keys=True) + "\n"
 
     # SHA-256 of certificates as earlier implementations wrote them (the
     # first two by the Fraction-based kernel): a change that keeps the

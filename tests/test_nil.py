@@ -293,6 +293,21 @@ class TestReduceDimension:
         assert len(out) == 1
         assert out[0][1].dim == 0
 
+    def test_point_parts_never_frozen(self, monkeypatch):
+        # refine reads no point's state: on Heisenberg 1..5000 every pivot
+        # part is a point, so no part's function is frozen (5000 were)
+        freeze, frozen = LipschitzFunction.freeze, []
+        monkeypatch.setattr(
+            LipschitzFunction, "freeze", lambda F, coord, u: frozen.append(u) or freeze(F, coord, u)
+        )
+        g = PolySequence(
+            [PolyPhase.monomial([0, math.sqrt(2)]), PolyPhase.monomial([0, math.sqrt(3)]), PolyPhase.zero()]
+        )
+        F = lipschitz_catalog("e(x)*cutoff")
+        cert = partition_nilsequence(Nilmanifold.heisenberg(), g, F, Progression(1, 1, 5000), 0.1)
+        assert cert.num_parts == 5000
+        assert frozen == []
+
 
 class TestPartitionNilsequence:
     def test_torus_character_matches_phase_partition(self):

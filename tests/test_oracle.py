@@ -702,6 +702,16 @@ class TestOnePointParts:
         assert verify_certificate(cert)["ok"]
         assert calls == [Progression.from_json(p) for p in cert["parts"] if p["len"] >= 2]
 
+    def test_criterion_5_certificate_measures_its_735_longer_parts(self, monkeypatch):
+        # parts are read as integer triples; brute_diam still receives a
+        # progression, with its .len, for each multi-point part alone
+        phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
+        cert = partition_polyphase(phi, Progression(1, 1, 20000), 0.05).to_json()
+        calls = self._spy(monkeypatch)
+        assert verify_certificate(cert)["ok"]
+        assert len(calls) == 735 and min(P.len for P in calls) == 2
+        assert sum(P.len * (P.len - 1) // 2 for P in calls) == 3264
+
     @pytest.mark.parametrize("make", [_phase_cert, _heisenberg_cert], ids=["phase", "nil"])
     def test_singleton_witness_compared_with_zero(self, make):
         cert = make()

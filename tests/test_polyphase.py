@@ -435,8 +435,9 @@ def test_criterion_5_input_reduces_once(monkeypatch):
     # evaluations
     import apinc.polyphase as polyphase
 
-    reduced, tails, diams, companions = [], [], [], []
+    reduced, tails, diams, companions, expansions = [], [], [], [], []
     reduce, within, diam_num = polyphase.reduce_degree_partition, polyphase._within, polyphase._diam_num
+    local_monomial = polyphase._local_monomial
 
     def spy_reduce(phi, P, theta):
         reduced.append(P)
@@ -450,10 +451,15 @@ def test_criterion_5_input_reduces_once(monkeypatch):
         diams.append(len(res))
         return diam_num(res, den)
 
+    def spy_local_monomial(phi, Q):
+        expansions.append(Q)
+        return local_monomial(phi, Q)
+
     monkeypatch.setattr(polyphase, "reduce_degree_partition", spy_reduce)
     monkeypatch.setattr(polyphase, "_within", spy_within)
     monkeypatch.setattr(polyphase, "_diam_num", spy_diam_num)
     monkeypatch.setattr(polyphase, "companion", lambda phi, R: companions.append(R))
+    monkeypatch.setattr(polyphase, "_local_monomial", spy_local_monomial)
     P = Progression(1, 1, 20000)
     cert = partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), P, 0.05)
     assert reduced == [P]
@@ -461,6 +467,9 @@ def test_criterion_5_input_reduces_once(monkeypatch):
     assert 0 < len(tails) == len(set(tails))
     assert cert.num_parts == 18733
     assert len(diams) == 19940
+    # a top-degree tail is keyed by the block's step: no block is expanded
+    # (9983 were), only the source, for its leading coefficient
+    assert expansions == [P]
 
 
 def test_oracle_brute_diam_agrees():

@@ -364,3 +364,68 @@ class TestCertificateType:
         report = verify_certificate(obj)
         assert report["ok"] and report["num_parts"] == cert.num_parts
         assert report["max_diam"] == max(cert.diam_witness)
+
+
+_BOUND = 2**63
+_NEAR_BOUNDS = st.one_of(
+    st.integers(-_BOUND, -_BOUND + 100), st.integers(_BOUND - 100, _BOUND - 1), st.integers(-100, 100)
+)
+_WITNESSES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.1]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _payloads(draw):
+    """A payload of either channel, as the partitions write them."""
+    coeff = st.one_of(st.fractions(max_denominator=10**6), st.floats(-1e6, 1e6))
+    phase = PolyPhase.binomial(draw(st.lists(coeff, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        return "polyphase", {"phase": phase.to_json()}
+    heisenberg = draw(st.booleans())
+    Mf = Nilmanifold.heisenberg() if heisenberg else Nilmanifold.torus(2)
+    coords = [phase, PolyPhase.monomial([0, draw(st.floats(-1, 1))])] + [PolyPhase.zero()] * heisenberg
+    g = PolySequence(coords)
+    F = lipschitz_catalog(draw(st.sampled_from(["const", "e(x)", "bump(y)", "e(x)*cutoff"])))
+    payload = {"manifold": Mf.to_json(), "sequence": g.to_json(), "function": F.to_json()}
+    return "nilsequence", dict(payload, depth=draw(st.integers(0, 3)))
+
+
+@st.composite
+def _certificates(draw):
+    def progression():
+        base, step = draw(_NEAR_BOUNDS), draw(st.integers(-5, 5).filter(bool))
+        n = draw(st.integers(1, 5))
+        last = base + (n - 1) * step
+        return Progression(base, step, n) if -_BOUND <= last < _BOUND else Progression(base, step, 1)
+
+    parts = [progression() for _ in range(draw(st.integers(1, 6)))]
+    channel, payload = draw(_payloads())
+    return PartitionCertificate(
+        source=progression(),
+        parts=parts,
+        epsilon=draw(st.floats(2**-30, 0.5)),
+        diam_witness=draw(st.lists(_WITNESSES, min_size=len(parts), max_size=len(parts))),
+        channel=channel,
+        payload=payload,
+    )
+
+
+class TestCertificateText:
+    # the row writer's text is json.dumps's, for both channels' payloads,
+    # parts near the 64-bit bounds and witnesses such as -0.0 and 5e-324
+    @given(_certificates())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_json_dumps_bytes(self, cert):
+        assert cert.to_json_text() == json.dumps(cert.to_json(), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_witness_refused(self, w):
+        cert = PartitionCertificate(
+            source=Progression(1, 1, 3),
+            parts=[Progression(1, 1, 2), Progression(3, 1, 1)],
+            epsilon=0.1,
+            diam_witness=[w, 0.0],
+        )
+        with pytest.raises(InvalidArgumentError):
+            cert.to_json_text()
