@@ -27,7 +27,10 @@ The dimension-reduction step exploits exactly this product structure:
 partition P so the pivot coordinate's phase is nearly constant, freeze
 the pivot factors at their value on each part, and recurse on the
 remaining coordinates — a manifold of strictly smaller dimension.
-Every claimed deviation and every certificate diameter is re-checked
+`reduce_dimension` is one such level, and it keeps the phase channel's
+contract (`polyphase.reduce_degree_partition`): it returns the
+(part, next state) pairs that `progressions.refine` consumes.  Every
+claimed deviation and every certificate diameter is re-checked
 exhaustively.
 """
 
@@ -306,37 +309,30 @@ def complex_diam(vals):
 
 
 def reduce_dimension(Mf, g, F, P, eps):
-    """Partition P and hand each part a nilsequence on a manifold of
-    one smaller dimension agreeing with F(g(n)Gamma) to within eps.
+    """One dimension level of the nilsequence partition: [(R, state)] in
+    base order, the parts R of P each paired with a zero-argument builder
+    of (succ, h, F_R), a nilsequence on a manifold of one smaller
+    dimension agreeing with F(g(n)Gamma) on R to within eps; state is
+    None when that nilsequence has no coordinate left to freeze.  A
+    function with no factors has nothing to reduce: [(P, None)].
 
     Pivot on the first coordinate F uses; partition P so the pivot
     coordinate phase moves by at most eps / L_pivot, then freeze the
-    pivot factors at their value at each part's base point.  Since the
-    catalog functions are products of periodic per-coordinate factors,
-    the deviation bound |F - F_frozen| <= L_pivot * coordinate-distance
-    is exact; it is still re-checked exhaustively, with halving repair.
-    Returns [(R, succ, h, F_R)], one per part.
+    pivot factors at their value at each part's base point, only when
+    the state is built.  Since the catalog functions are products of
+    periodic per-coordinate factors, the deviation bound
+    |F - F_frozen| <= L_pivot * coordinate-distance is exact; it is still
+    re-checked exhaustively, with halving repair.  Whether a state is
+    None is the same for every part: the successor manifold and F's
+    factors off the pivot do not depend on the part.
     """
-    parts, state, _ = _pivot(Mf, g, F, P, eps)
-    return [(R, *state(R)) for R in parts]
-
-
-def _pivot(Mf, g, F, P, eps):
-    """The cut of `reduce_dimension`: (parts, state, live).  state(R) is
-    the nilsequence (succ, h, F_R) handed to the part R, with F frozen
-    only when it is called; `live` says whether those nilsequences have
-    a coordinate left to freeze, which is the same for every part: their
-    manifold is `succ`, and their function keeps F's factors off the
-    pivot whatever the part."""
     _check_compat(Mf, g, F)
-    if Mf.dim < 1:
-        raise PreconditionError("manifold must have dimension >= 1")
     eps_f = lift(eps)
     if not 0 < eps_f <= Fraction(1, 2):
         raise PreconditionError("eps must lie in (0, 1/2]")
 
-    if not F.factors:
-        return [P], lambda R: (Nilmanifold.torus(0), PolySequence([]), F), False
+    if not F.factors:  # the only functions on a 0-dimensional manifold
+        return [(P, None)]
 
     # a torus loses the pivot coordinate; the Heisenberg quotient
     # (dim 3) leaves the 2-torus of its other two coordinates
@@ -349,23 +345,26 @@ def _pivot(Mf, g, F, P, eps):
     # use, and a name bound while a tracer had patched polyphase would
     # keep the wrapper after the module is restored (engine does the same)
     cert = polyphase.partition_polyphase(pivot_phase, P, target)
-
-    rest = [c for i, c in enumerate(g.coords) if i != pivot]
-    h = PolySequence(rest)
+    h = PolySequence([c for i, c in enumerate(g.coords) if i != pivot])
 
     def frozen(R):
         return F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
 
+    def state(R):
+        return succ, h, frozen(R)
+
     def fits(R):
+        # the frozen function reads each point less its pivot: on a torus
+        # those are h's residues, and on Heisenberg its y is b % Dy while
+        # no factor reads z (_check_compat), so these are h's points
         F2 = frozen(R)
         dev = max(
-            abs(F.value(u) - F2.value(v))
-            for u, v in zip(g.float_points(Mf, R), _phase_points(rest, R))
+            abs(F.value(u) - F2.value(u[:pivot] + u[pivot + 1 :])) for u in g.float_points(Mf, R)
         )
         return dev <= float(eps_f) + 2**-30
 
     live = succ.dim > 0 and any(f.coord != pivot for f in F.factors)
-    return repair(cert.parts, fits), lambda R: (succ, h, frozen(R)), live
+    return [(R, partial(state, R) if live else None) for R in repair(cert.parts, fits)]
 
 
 def partition_nilsequence(Mf, g, F, P, eps):
@@ -402,12 +401,11 @@ def partition_nilsequence(Mf, g, F, P, eps):
         return complex_diam(vals[index_slice(P, Q)])
 
     def reduce(build, Q):  # a state builds its nilsequence, only for a part reduced
-        parts, state, live = _pivot(*build(), Q, level_eps)
-        return [(R, partial(state, R) if live else None) for R in parts]
+        # the module global, read at call time: a tracer's wrapper sees the call
+        return reduce_dimension(*build(), Q, level_eps)
 
-    # None once no coordinate is left to freeze
-    root = (lambda: (Mf, g, F)) if F.factors and Mf.dim else None
-    parts, witnesses, max_depth = refine(P, root, diam, eps_val, reduce)
+    # a function with no factors is constant: refine keeps P at diameter 0
+    parts, witnesses, max_depth = refine(P, lambda: (Mf, g, F), diam, eps_val, reduce)
     assert all(w <= eps_val + 2**-35 for w in witnesses)
     return PartitionCertificate(
         source=P,

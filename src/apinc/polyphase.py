@@ -209,16 +209,14 @@ class PolyPhase:
 
     __slots__ = ("basis", "exact", "den", "num", "_coeffs")
 
-    def __init__(self, coeffs, basis="binomial", exact=None):
+    def __init__(self, coeffs, basis="binomial"):
         if basis not in ("binomial", "monomial"):
             raise InvalidArgumentError(f"unknown basis {basis!r}")
         raw = list(coeffs) or [0]
-        if exact is None:
-            exact = not any(isinstance(c, float) for c in raw)
         cs = tuple(lift(c) for c in raw)
         den, num = _common(cs)
         self.basis = basis
-        self.exact = exact
+        self.exact = not any(isinstance(c, float) for c in raw)
         self.den = den
         self.num = tuple(_bin_from_mono(num) if basis == "monomial" else num)
         self._coeffs = cs
@@ -230,16 +228,16 @@ class PolyPhase:
         return phi
 
     @classmethod
-    def monomial(cls, coeffs, exact=None):
-        return cls(coeffs, basis="monomial", exact=exact)
+    def monomial(cls, coeffs):
+        return cls(coeffs, basis="monomial")
 
     @classmethod
-    def binomial(cls, coeffs, exact=None):
-        return cls(coeffs, basis="binomial", exact=exact)
+    def binomial(cls, coeffs):
+        return cls(coeffs, basis="binomial")
 
     @classmethod
-    def constant(cls, c, exact=None):
-        return cls([c], basis="binomial", exact=exact)
+    def constant(cls, c):
+        return cls([c], basis="binomial")
 
     @classmethod
     def zero(cls):
@@ -414,9 +412,11 @@ def _block_len(ratio_floor, s, length, n_w):
 
 
 def reduce_degree_partition(phi, P, theta_target):
-    """The parts, in base order, of a partition of P such that on each
-    part R phi agrees with `companion(phi, R)`, a phase of one lower
-    degree, up to diameter theta_target (verified exhaustively).
+    """One degree level of the phase partition: [(R, state)] in base
+    order, the parts R of P each paired with a zero-argument builder of
+    `companion(phi, R)`, a phase of one lower degree that agrees with phi
+    on R up to diameter theta_target (verified exhaustively).  A phase
+    constant mod 1 has nothing left to reduce: [(P, None)].
 
     Weyl step: kill the leading local coefficient along a common
     difference n_w, then chop into blocks whose leading-term variation
@@ -428,12 +428,10 @@ def reduce_degree_partition(phi, P, theta_target):
         raise PreconditionError("theta_target must lie in (0, 1/2]")
     if P.len < 2:
         raise PreconditionError("progression must have length >= 2")
-    if phi.declared_degree < 1:
-        raise PreconditionError("phase must have declared degree >= 1")
 
     s = phi.degree
-    if s == 0:  # constant mod 1 (e.g. c + 0*n): single part, constant companion
-        return [P]
+    if s == 0:
+        return [(P, None)]
 
     dl = phi.den * factorial(phi.declared_degree)  # local monomial denominator
     lead = _local_monomial(phi, P)[s]
@@ -459,7 +457,8 @@ def reduce_degree_partition(phi, P, theta_target):
 
     # a module-level check, not a closure: closing over s and dl would
     # turn them into cells and slow the Weyl scan above
-    return repair(subdivide(P, n_w, ell), partial(_tail_fits, phi, s, dl, theta, {}))
+    parts = repair(subdivide(P, n_w, ell), partial(_tail_fits, phi, s, dl, theta, {}))
+    return [(R, partial(companion, phi, R)) for R in parts]
 
 
 def partition_polyphase(phi, P, eps):
@@ -499,16 +498,10 @@ def partition_polyphase(phi, P, eps):
         def diam_num(Q):
             return _diam_num(res[index_slice(P, Q)], den)
 
-    # the budget of degree s; every companion has a lower degree than its phase
-    theta = [eps_f * BUDGET_WEIGHT / s**2 for s in range(1, phi.degree + 1)]
-
     def reduce(build, Q):  # a state builds its phase, only for a part reduced
         phase = build()
-        s = phase.degree
-        if s == 0:  # constant mod 1: Q is kept whole
-            return [(Q, None)]
-        cut = reduce_degree_partition(phase, Q, theta[s - 1])
-        return [(R, partial(companion, phase, R)) for R in cut]
+        # the budget of degree s >= 1; every companion has a lower degree than its phase
+        return reduce_degree_partition(phase, Q, eps_f * BUDGET_WEIGHT / max(phase.degree, 1) ** 2)
 
     parts, witnesses, _ = refine(P, lambda: phi, diam_num, limit, reduce)
     assert max(witnesses) <= limit

@@ -48,11 +48,6 @@ class Progression:
     def __len__(self):
         return self.len
 
-    def __getitem__(self, i):
-        if not 0 <= i < self.len:
-            raise IndexError(i)
-        return self.base + i * self.step
-
     def elements(self):
         """All elements in index order."""
         return [self.base + i * self.step for i in range(self.len)]
@@ -63,15 +58,6 @@ class Progression:
 
     def to_json(self):
         return {"base": self.base, "step": self.step, "len": self.len}
-
-    @classmethod
-    def from_json(cls, obj):
-        """The progression of a JSON object whose base, step and len are
-        integers; a bool, float or string is refused, never rounded."""
-        fields = obj["base"], obj["step"], obj["len"]
-        if not all(type(x) is int for x in fields):
-            raise InvalidArgumentError(f"base, step and len must be integers, got {fields!r}")
-        return cls(*fields)
 
     @classmethod
     def interval(cls, lo, hi):
@@ -96,19 +82,20 @@ class PartitionCertificate:
     parts: list
     epsilon: float
     diam_witness: list
-    min_len: int = field(default=0)
     channel: str = "polyphase"
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.parts) != len(self.diam_witness):
             raise InvalidArgumentError("one diameter witness per part required")
-        if not self.min_len:
-            self.min_len = min(p.len for p in self.parts)
 
     @property
     def num_parts(self):
         return len(self.parts)
+
+    @property
+    def min_len(self):
+        return min(p.len for p in self.parts)
 
     def to_json(self):
         rows = [dict(p.to_json(), diam=float(w)) for p, w in zip(self.parts, self.diam_witness)]
@@ -250,7 +237,12 @@ def refine(P, root, diam, limit, reduce):
     longer part reached in state `state` is measured once, `diam(Q)`, and
     kept when that is at most `limit` or the state is None (nothing is
     left to reduce); otherwise `reduce(state, Q)` cuts it into
-    [(R, child)] pairs and each R is refined in its child state.  A
+    [(R, child)] pairs and each R is refined in its child state.  Every
+    channel's `reduce` is one call to its one-level step
+    (`polyphase.reduce_degree_partition`, `nil.reduce_dimension`), which
+    returns those pairs: the parts of Q in base order, each with a
+    zero-argument builder of its next-level input, or None when nothing
+    is left to reduce, so a part's input is built only if it is reduced.  A
     failing part of length 2 becomes its two points without a call to
     `reduce`: the channels' level budgets sum to at most the limit, so a
     part over it does not end its reductions whole (the nil channel's

@@ -26,7 +26,7 @@ from apinc.nil import (
 )
 from apinc import nil
 from apinc.oracle import _nil_value_fn, verify_certificate
-from apinc.polyphase import PolyPhase
+from apinc.polyphase import PolyPhase, companion, reduce_degree_partition
 from apinc.progressions import Progression
 
 SQRT2 = math.sqrt(2)
@@ -274,11 +274,13 @@ class TestReduceDimension:
     def test_torus_two_to_one(self):
         Mf = Nilmanifold.torus(2)
         g = PolySequence.torus_linear([Fraction(1, 8), Fraction(1, 5)])
-        F = lipschitz_catalog("e(x)")
+        # a factor off the pivot leaves the next level something to freeze
+        F = LipschitzFunction("e(x)e(y)", (Factor(0, "exp"), Factor(1, "exp")))
         P = Progression(1, 1, 200)
         out = reduce_dimension(Mf, g, F, P, Fraction(1, 4))
         covered = []
-        for R, Mf2, h, F2 in out:
+        for R, state in out:
+            Mf2, h, F2 = state()
             covered.extend(R.elements())
             assert Mf2.dim == 1
             for n in R.elements():
@@ -289,9 +291,9 @@ class TestReduceDimension:
     def test_constant_function_single_part(self):
         Mf = Nilmanifold.torus(2)
         g = PolySequence.torus_linear([SQRT2, SQRT3])
-        out = reduce_dimension(Mf, g, lipschitz_catalog("const"), Progression(1, 1, 500), 0.1)
-        assert len(out) == 1
-        assert out[0][1].dim == 0
+        P = Progression(1, 1, 500)
+        # nothing is left to reduce: the part is kept whole, with no state
+        assert reduce_dimension(Mf, g, lipschitz_catalog("const"), P, 0.1) == [(P, None)]
 
     def test_point_parts_never_frozen(self, monkeypatch):
         # refine reads no point's state: on Heisenberg 1..5000 every pivot
@@ -307,6 +309,100 @@ class TestReduceDimension:
         cert = partition_nilsequence(Nilmanifold.heisenberg(), g, F, Progression(1, 1, 5000), 0.1)
         assert cert.num_parts == 5000
         assert frozen == []
+
+    def test_partition_calls_reduce_dimension_by_its_module_name(self, monkeypatch):
+        # partition_nilsequence reads reduce_dimension from the module at
+        # call time, so a wrapper put there (a tracer's span) sees the one
+        # reduction of Heisenberg 1..500
+        calls = []
+        real = nil.reduce_dimension
+        monkeypatch.setattr(nil, "reduce_dimension", lambda *a: calls.append(a[3]) or real(*a))
+        g = PolySequence(
+            [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()]
+        )
+        P = Progression(1, 1, 500)
+        partition_nilsequence(Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), P, 0.1)
+        assert calls == [P]
+
+
+def assert_pairs_cover(Q, pairs):
+    """The parts of a reduction cover Q exactly, in base order."""
+    bases = [R.base for R, _ in pairs]
+    assert bases == sorted(bases)
+    assert sorted(x for R, _ in pairs for x in R.elements()) == sorted(Q.elements())
+
+
+_FACTOR_KINDS = st.sampled_from(["exp", "exp_re", "exp_im", "bump"])
+
+
+@st.composite
+def _nilsequences(draw):
+    """A manifold, a sequence on it and a catalog-style function of up to
+    three factors on the coordinates its functions may use."""
+    if draw(st.booleans()):
+        Mf, usable = Nilmanifold.heisenberg(), 2
+    else:
+        Mf = Nilmanifold.torus(draw(st.integers(0, 3)))
+        usable = Mf.dim
+    # large denominators leave a part's pivot phase spread out, so the
+    # point a function is frozen at matters
+    coeffs = st.lists(st.fractions(-3, 3, max_denominator=10**4), min_size=1, max_size=3)
+    g = PolySequence([PolyPhase.monomial(draw(coeffs)) for _ in range(Mf.dim)])
+    factors = draw(
+        st.lists(
+            st.builds(Factor, st.integers(0, max(usable - 1, 0)), _FACTOR_KINDS, st.integers(1, 2)),
+            max_size=3 if usable else 0,
+        )
+    )
+    return Mf, g, LipschitzFunction("drawn", tuple(factors))
+
+
+_PARTS = st.builds(
+    Progression, st.integers(-50, 50), st.sampled_from([1, 2, -1, -3]), st.integers(2, 40)
+)
+
+
+class TestReductionContract:
+    # both channels' one-level steps return the (part, state) pairs refine
+    # consumes: parts covering Q in base order, each with a builder of its
+    # next-level input, or None exactly when nothing is left to reduce
+
+    @given(
+        coeffs=st.lists(rationals, min_size=1, max_size=3),
+        basis=st.sampled_from(["binomial", "monomial"]),
+        Q=_PARTS,
+        theta=st.fractions(min_value=Fraction(1, 64), max_value=Fraction(1, 2), max_denominator=64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_degree_step(self, coeffs, basis, Q, theta):
+        phi = PolyPhase(coeffs, basis)
+        pairs = reduce_degree_partition(phi, Q, theta)
+        assert_pairs_cover(Q, pairs)
+        if phi.degree == 0:
+            assert pairs == [(Q, None)]
+        for R, state in pairs:
+            if state is not None:
+                psi, ref = state(), companion(phi, R)
+                assert (psi.den, psi.num) == (ref.den, ref.num)
+
+    @given(nilsequence=_nilsequences(), Q=_PARTS,
+           eps=st.fractions(min_value=Fraction(1, 16), max_value=Fraction(1, 2), max_denominator=64))
+    @settings(max_examples=150, deadline=None)
+    def test_dimension_step(self, nilsequence, Q, eps):
+        Mf, g, F = nilsequence
+        pairs = reduce_dimension(Mf, g, F, Q, eps)
+        assert_pairs_cover(Q, pairs)
+        if not F.factors:
+            assert pairs == [(Q, None)]
+            return
+        pivot = F.factors[0].coord
+        left = any(f.coord != pivot for f in F.factors)
+        h = PolySequence([c for i, c in enumerate(g.coords) if i != pivot])
+        for R, state in pairs:
+            assert (state is None) == (not left)
+            if state is not None:
+                u = float(g.coords[pivot].eval(R.base))
+                assert state() == (Nilmanifold.torus(Mf.dim - 1), h, F.freeze(pivot, u))
 
 
 class TestPartitionNilsequence:
@@ -355,22 +451,22 @@ class TestPartitionNilsequence:
         assert coarse <= fine
 
     def test_singletons_skip_the_witness_scan(self, monkeypatch):
-        # values (nil_values) and the frozen coordinates of the deviation
-        # check (_phase_points, on Heisenberg) are computed only on parts
-        # of two or more points; a single point's witness is 0.0
+        # values (nil_values) and the points of the deviation check
+        # (float_points) are computed only on parts of two or more points;
+        # a single point's witness is 0.0
         lengths = []
 
-        def spy(name):
-            real = getattr(nil, name)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args):
                 lengths.append(args[-1].len)
                 return real(*args)
 
-            monkeypatch.setattr(nil, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        spy("nil_values")
-        spy("_phase_points")
+        spy(nil, "nil_values")
+        spy(PolySequence, "float_points")
         g = PolySequence(
             [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()]
         )

@@ -700,7 +700,7 @@ class TestOnePointParts:
         assert 1 in lens and 2 in lens
         calls = self._spy(monkeypatch)
         assert verify_certificate(cert)["ok"]
-        assert calls == [Progression.from_json(p) for p in cert["parts"] if p["len"] >= 2]
+        assert calls == [Progression(*oracle._triple(p)) for p in cert["parts"] if p["len"] >= 2]
 
     def test_criterion_5_certificate_measures_its_735_longer_parts(self, monkeypatch):
         # parts are read as integer triples; brute_diam still receives a

@@ -13,7 +13,6 @@ from apinc.polyphase import (
     _diam_num,
     _linear_diameters,
     circle_diam,
-    companion,
     diam_on,
     partition_polyphase,
     reduce_degree_partition,
@@ -154,18 +153,18 @@ class TestReduceDegree:
     def test_half_n_residues(self):
         phi = PolyPhase.monomial([0, Fraction(1, 2)])
         out = reduce_degree_partition(phi, Progression(1, 1, 16), Fraction(1, 100))
-        for part in out:
-            psi = companion(phi, part)
+        for part, state in out:
+            psi = state()
             assert psi.degree < phi.degree
             assert brute_diam_phase(phi - psi, part) <= Fraction(1, 100)
-        covered = sorted(x for part in out for x in part.elements())
+        covered = sorted(x for part, _ in out for x in part.elements())
         assert covered == list(range(1, 17))
 
     def test_constant_mod_one(self):
         phi = PolyPhase.monomial([Fraction(1, 3), 0])
+        # nothing is left to reduce: the part is kept whole, with no state
         out = reduce_degree_partition(phi, Progression(1, 1, 40), Fraction(1, 10))
-        assert out == [Progression(1, 1, 40)]
-        assert companion(phi, out[0]).eval(0) == Fraction(1, 3)
+        assert out == [(Progression(1, 1, 40), None)]
 
     @given(
         coeffs=st.lists(rationals, min_size=2, max_size=3),
@@ -181,10 +180,14 @@ class TestReduceDegree:
         out = reduce_degree_partition(phi, P, theta)
         covered = []
         s = phi.degree
-        for part in out:
-            psi = companion(phi, part)
+        for part, state in out:
             covered.extend(part.elements())
-            assert psi.degree <= max(s - 1, 0)
+            if s == 0:  # the phase itself is within theta
+                assert state is None
+                assert brute_diam_phase(phi, part) <= theta
+                continue
+            psi = state()
+            assert psi.degree <= s - 1
             assert brute_diam_phase(phi - psi, part) <= theta
         assert sorted(covered) == sorted(P.elements())
 
@@ -223,9 +226,7 @@ class TestReduceDegree:
                 lambda phi, s, dl, theta, tested, R: tail_fits(phi, s, dl, theta, {}, R),
             )
             fresh = reduce_degree_partition(phi, P, theta)
-        assert [(R, psi.den, psi.num) for R, psi in with_companions(phi, memo)] == [
-            (R, psi.den, psi.num) for R, psi in with_companions(phi, fresh)
-        ]
+        assert built(memo) == built(fresh)
 
     def test_repair_never_checks_a_point(self, monkeypatch):
         # a point always fits: in both channels, repair keeps the points
@@ -262,8 +263,9 @@ class TestReduceDegree:
             assert checked
 
 
-def with_companions(phi, parts):
-    return [(R, companion(phi, R)) for R in parts]
+def built(pairs):
+    """Each part with the (den, num) of the phase its state builds."""
+    return [(R, state and (state().den, state().num)) for R, state in pairs]
 
 
 def brute_diam_phase(phi, part):
@@ -384,19 +386,19 @@ class TestPartition:
 
 def reduced_leaves(phi, Q, eps):
     """The parts that the recursion keeps from Q when every part that
-    fails its fit check is cut by `reduce_degree_partition`, down to a
-    constant companion, with no shortcut for a failing pair."""
-    theta = [eps * BUDGET_WEIGHT / s**2 for s in range(1, phi.degree + 1)]
+    fails its fit check is cut by `reduce_degree_partition`, until no
+    state is left, with no shortcut for a failing pair."""
     leaves = []
 
-    def visit(R, phase):
-        if R.len == 1 or diam_on(phi, R) <= eps or phase.degree == 0:
+    def visit(R, state):
+        if R.len == 1 or diam_on(phi, R) <= eps or state is None:
             leaves.append(R)
-        else:
-            for S in reduce_degree_partition(phase, R, theta[phase.degree - 1]):
-                visit(S, companion(phase, S))
+            return
+        phase = state()
+        for S, child in reduce_degree_partition(phase, R, eps * BUDGET_WEIGHT / max(phase.degree, 1) ** 2):
+            visit(S, child)
 
-    visit(Q, phi)
+    visit(Q, lambda: phi)
     return leaves
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from apinc.errors import IntegerRangeError, InvalidArgumentError
 from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, nil_values
-from apinc import progressions
+from apinc import oracle, progressions
 from apinc.oracle import verify_certificate
 from apinc.polyphase import PolyPhase, partition_polyphase
 from apinc.progressions import (
@@ -52,7 +52,13 @@ class TestProgression:
 
     def test_json_roundtrip(self):
         P = Progression(3, 5, 4)
-        assert Progression.from_json(P.to_json()) == P
+        assert Progression(*oracle._triple(P.to_json())) == P
+
+    def test_unpacking_refused(self):
+        # a progression is not a sequence: unpacking it as a triple would
+        # read its first elements, not (base, step, len)
+        with pytest.raises(TypeError):
+            base, step, n = Progression(5, 3, 3)
 
 
 class TestSubdivide:
