@@ -205,26 +205,24 @@ def _iroot(x, s):
 class PolyPhase:
     """Polynomial phase held as integer binomial numerators `num` over
     one denominator `den`.  `coeffs` are its exact coefficients in
-    `basis`; for phases the kernel derives they are built on first use."""
+    `basis`, derived from `den` and `num`."""
 
-    __slots__ = ("basis", "exact", "den", "num", "_coeffs")
+    __slots__ = ("basis", "exact", "den", "num")
 
     def __init__(self, coeffs, basis="binomial"):
         if basis not in ("binomial", "monomial"):
             raise InvalidArgumentError(f"unknown basis {basis!r}")
         raw = list(coeffs) or [0]
-        cs = tuple(lift(c) for c in raw)
-        den, num = _common(cs)
+        den, num = _common([lift(c) for c in raw])
         self.basis = basis
         self.exact = not any(isinstance(c, float) for c in raw)
         self.den = den
         self.num = tuple(_bin_from_mono(num) if basis == "monomial" else num)
-        self._coeffs = cs
 
     @classmethod
     def _from_kernel(cls, den, num, basis, exact):
         phi = cls.__new__(cls)
-        phi.basis, phi.exact, phi.den, phi.num, phi._coeffs = basis, exact, den, tuple(num), None
+        phi.basis, phi.exact, phi.den, phi.num = basis, exact, den, tuple(num)
         return phi
 
     @classmethod
@@ -248,13 +246,11 @@ class PolyPhase:
     @property
     def coeffs(self):
         """Exact coefficients in `basis`."""
-        if self._coeffs is None:
-            if self.basis == "binomial":
-                q, ps = self.den, self.num
-            else:
-                q, ps = self.den * factorial(self.declared_degree), _mono_from_bin(self.num)
-            self._coeffs = tuple(Fraction(p, q) for p in ps)
-        return self._coeffs
+        if self.basis == "binomial":
+            q, ps = self.den, self.num
+        else:
+            q, ps = self.den * factorial(self.declared_degree), _mono_from_bin(self.num)
+        return tuple(Fraction(p, q) for p in ps)
 
     # -- structure -----------------------------------------------------
 
@@ -291,21 +287,15 @@ class PolyPhase:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _binop(self, other, sign):
+    def __sub__(self, other):
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
+        fa, fb = den // self.den, -(den // other.den)
         a, b = self.num, other.num
         n = max(len(a), len(b))
         a += (0,) * (n - len(a))
         b += (0,) * (n - len(b))
         out = [x * fa + y * fb for x, y in zip(a, b)]
         return PolyPhase._from_kernel(den, out, self.basis, self.exact and other.exact)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
 
     def compose_affine_frac(self, a, b):
         """Phase m -> self(a*m + b) for rational a, b (exact)."""
@@ -348,8 +338,6 @@ def circle_diam(values):
 
 def diam_on(phi, P):
     """Exhaustive diameter of the phase over the elements of P."""
-    if P.len < 1:
-        raise InvalidArgumentError("progression must be nonempty")
     d = Fraction(_diam_num(phi.residues(P), phi.den), phi.den)
     return d if phi.exact else float(d)
 

@@ -86,6 +86,8 @@ class PartitionCertificate:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.parts:
+            raise InvalidArgumentError("a partition certificate needs at least one part")
         if len(self.parts) != len(self.diam_witness):
             raise InvalidArgumentError("one diameter witness per part required")
 
@@ -121,8 +123,6 @@ class PartitionCertificate:
         if not all(map(isfinite, ws)):
             raise InvalidArgumentError("every diameter witness must be finite")
         text = json.dumps(self._json([]), indent=2, sort_keys=True)
-        if not self.parts:
-            return text
         head, tail = text.split(_NO_PARTS)
         rows = ",".join([_ROW % (p.base, repr(w), p.len, p.step) for p, w in zip(self.parts, ws)])
         return f'{head}\n  "parts": [{rows}\n  ]{tail}'
@@ -144,8 +144,6 @@ def subdivide(P, mult, block):
     parts = []
     for r in range(mult):
         class_len = (P.len - r + mult - 1) // mult
-        if class_len <= 0:
-            continue
         t = 0
         while t < class_len:
             ln = min(block, class_len - t)
@@ -167,15 +165,16 @@ def index_slice(P, Q):
     return slice(start, stop + 1, stride)
 
 
-def merge_parts(parts, wit, diam, limit, failed, descending):
+def merge_parts(parts, measured, diam, limit):
     """Coarsen a partition: greedily absorb a following contiguous
     same-step part (or a singleton) while the union's diameter is at
-    most `limit`.  `wit` maps the base of each multi-point part to its
-    diameter; every union kept records its own there.  A trial equal to
-    a part in `failed`, one already measured over `limit`, is refused
-    unmeasured.  Parts are walked by base in the source's direction
-    (`descending` for a negative step), so each part's continuation is
-    still unwalked when its turn comes; the result is in base order."""
+    most `limit`.  `measured` maps (base, step, len) to the diameter of
+    every part already measured; a trial found there is not measured
+    again, and every union kept records its own there.  Parts are walked
+    by base in the source's direction (downwards for a negative step,
+    which all parts share), so each part's continuation is still
+    unwalked when its turn comes; the result is in base order."""
+    descending = parts[0].step < 0
     by_base = {p.base: p for p in parts}
     merged, used = [], set()
     for b in sorted(by_base, reverse=descending):
@@ -185,22 +184,18 @@ def merge_parts(parts, wit, diam, limit, failed, descending):
         used.add(b)
         while True:
             nxt = by_base.get(cur.base + cur.len * cur.step)
-            if nxt is None or nxt.base in used:
+            if nxt is None or nxt.base in used or not (nxt.step == cur.step or nxt.len == 1):
                 break
-            if nxt.step == cur.step:
-                trial = Progression(cur.base, cur.step, cur.len + nxt.len)
-            elif nxt.len == 1:
-                trial = Progression(cur.base, cur.step, cur.len + 1)
-            else:
-                break
-            if trial in failed:
-                break
-            w = diam(trial)
+            # each base starts one chain and a chain ends at its first
+            # rejection, so a trial recurs only as a part the visit measured
+            key = (b, cur.step, cur.len + nxt.len)
+            trial = None if key in measured else Progression(*key)
+            w = measured[key] if trial is None else diam(trial)
             if w > limit:
                 break
             used.add(nxt.base)
-            cur = trial
-            wit[b] = w
+            cur = Progression(*key) if trial is None else trial
+            measured[key] = w
         merged.append(cur)
     return merged[::-1] if descending else merged
 
@@ -246,11 +241,12 @@ def refine(P, root, diam, limit, reduce):
     failing part of length 2 becomes its two points without a call to
     `reduce`: the channels' level budgets sum to at most the limit, so a
     part over it does not end its reductions whole (the nil channel's
-    float slack aside), and two points split only one way.  The kept
-    parts are re-merged under `limit`, skipping every trial equal to a
-    part the visit measured over it.  Returns the parts in base order,
-    their witnesses (the diameter measured by the visit or merge trial
-    that kept each) and the deepest level reached (P is level 0).
+    float slack aside), and two points split only one way.  Every
+    diameter measured is recorded, keyed by (base, step, len); the
+    kept parts are re-merged under `limit` with that record, so no trial
+    equal to a part already measured is measured again.  Returns the
+    parts in base order, their witnesses (the recorded diameter, 0 for a
+    point) and the deepest level reached (P is level 0).
 
     `diam(Q)` must return the diameter when that is at most `limit`, and
     may return any value above `limit` otherwise: such a value only
@@ -258,19 +254,17 @@ def refine(P, root, diam, limit, reduce):
     returned, which the level budgets hold to at most `limit` (the nil
     channel's float slack aside).
     """
-    parts, wit, failed, depth = [], {}, set(), 0  # wit: base -> diameter, multi-point parts only
+    parts, measured, depth = [], {}, 0  # measured: (base, step, len) -> diameter
 
     def visit(Q, state, level):
         nonlocal depth
         if Q.len == 1:
             parts.append(Q)
             return
-        w = diam(Q)
+        w = measured[Q.base, Q.step, Q.len] = diam(Q)
         if state is None or w <= limit:
             parts.append(Q)
-            wit[Q.base] = w
             return
-        failed.add(Q)
         depth = max(depth, level + 1)
         if Q.len == 2:
             parts.extend((Progression(Q.base, Q.step, 1), Progression(Q.last, Q.step, 1)))
@@ -280,5 +274,5 @@ def refine(P, root, diam, limit, reduce):
 
     visit(P, root, 0)
     del visit  # a recursive closure is a cycle: free its state on return, not at a full collection
-    merged = merge_parts(parts, wit, diam, limit, failed, P.step < 0)
-    return merged, [wit.get(p.base, 0) for p in merged], depth
+    merged = merge_parts(parts, measured, diam, limit)
+    return merged, [measured.get((p.base, p.step, p.len), 0) for p in merged], depth

@@ -1,6 +1,6 @@
 """The independent verifier stays independent: no construction module
 imports `apinc.oracle`, and the oracle builds on nothing of apinc but
-its errors and progressions.  numpy is the only third-party runtime
+its errors and progressions, which build on errors alone.  numpy is the only third-party runtime
 dependency: no module imports scipy, and the package import and the
 phase channel's commands never load numpy."""
 
@@ -54,6 +54,12 @@ def test_construction_does_not_import_the_verifier(module):
 
 def test_verifier_imports_only_errors_and_progressions():
     assert apinc_imports("oracle") <= {"errors", "progressions"}
+
+
+def test_skeleton_imports_only_errors():
+    # the partition skeleton knows no channel: each hands it a `diam` and
+    # a `reduce`
+    assert apinc_imports("progressions") <= {"errors"}
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))

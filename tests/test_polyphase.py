@@ -474,6 +474,42 @@ def test_criterion_5_input_reduces_once(monkeypatch):
     assert expansions == [P]
 
 
+def test_criterion_5_merge_builds_only_what_it_measures(monkeypatch):
+    # the merge looks each trial up in `refine`'s record of measured parts
+    # before building it: a trial equal to a part the visit measured over
+    # the limit builds nothing (8982 of the 18938 trials), and a trial
+    # measured and kept is the union itself
+    import apinc.polyphase as polyphase
+    import apinc.progressions as progressions
+
+    built, measured, in_merge = [], [], []
+    merge, post_init, diam_num = progressions.merge_parts, Progression.__post_init__, polyphase._diam_num
+
+    def spy_merge(*args):
+        in_merge.append(True)
+        try:
+            return merge(*args)
+        finally:
+            in_merge.clear()
+
+    def spy_post_init(self):
+        if in_merge:
+            built.append(self)
+        post_init(self)
+
+    def spy_diam_num(res, den):
+        if in_merge:
+            measured.append(len(res))
+        return diam_num(res, den)
+
+    monkeypatch.setattr(progressions, "merge_parts", spy_merge)
+    monkeypatch.setattr(Progression, "__post_init__", spy_post_init)
+    monkeypatch.setattr(polyphase, "_diam_num", spy_diam_num)
+    partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), Progression(1, 1, 20000), 0.05)
+    assert [R.len for R in built] == measured
+    assert len(built) == 9956
+
+
 def test_oracle_brute_diam_agrees():
     phi = PolyPhase.binomial([0, Fraction(2, 7), Fraction(3, 11)])
     P = Progression(3, 2, 60)

@@ -338,6 +338,9 @@ class TestSkeleton:
         # is measured after the merge
         assert Counter(visits) == Counter(Q for Q in [P, *children] if Q.len > 1)
         assert all(T.len > 1 and T.base in {Q.base for Q in parts} for T in trials)
+        # one record of measured parts: no part reaches `diam` twice
+        keys = [(Q.base, Q.step, Q.len) for Q in visits + trials]
+        assert len(keys) == len(set(keys))
         assert after == []
         assert witnesses == [span(Q) if Q.len > 1 else 0 for Q in parts]
         assert sorted(x for Q in parts for x in Q.elements()) == sorted(P.elements())
@@ -351,6 +354,11 @@ class TestCertificateType:
         )
         assert c.min_len == 2
         assert c.num_parts == 2
+
+    def test_no_parts_refused(self):
+        # an empty certificate states nothing and cannot be written
+        with pytest.raises(InvalidArgumentError):
+            PartitionCertificate(source=Progression(1, 1, 2), parts=[], epsilon=0.1, diam_witness=[])
 
     def test_witness_count_checked(self):
         with pytest.raises(InvalidArgumentError):
