@@ -163,28 +163,28 @@ def increment_from_witness(A, witness, floor_n0=2):
     delta_eff = lift(witness.correlation) * witness.M / N
     classes = {}  # |step| -> {residue: the members in that class, in order}
 
-    def inside(p):
-        """The members of A in the part p, in increasing order, found by
-        bisection in the members of p's residue class."""
-        s = abs(p.step)
+    def inside(base, step, n):
+        """The members of A in the part (base, step, n), in increasing
+        order, found by bisection in the members of its residue class."""
+        last, s = base + (n - 1) * step, abs(step)
         if s not in classes:
             classes[s] = {}
             for x in A.members:
                 classes[s].setdefault(x % s, []).append(x)
-        xs = classes[s].get(p.base % s, [])
-        return xs[bisect_left(xs, min(p.base, p.last)) : bisect_right(xs, max(p.base, p.last))]
+        xs = classes[s].get(base % s, [])
+        return xs[bisect_left(xs, min(base, last)) : bisect_right(xs, max(base, last))]
 
     min_len = max(2, floor_n0)
 
     def select(cert, floor):
         best = None
-        for p in cert.parts:
-            if p.len < floor:
+        for base, step, n in cert.parts:
+            if n < floor:
                 continue
-            hits = len(inside(p))
-            ratio = Fraction(hits, p.len) - alpha  # mean of f over the part
-            if best is None or ratio > best[0] or (ratio == best[0] and p.base < best[1].base):
-                best = (ratio, p, hits)
+            hits = len(inside(base, step, n))
+            ratio = Fraction(hits, n) - alpha  # mean of f over the part
+            if best is None or ratio > best[0] or (ratio == best[0] and base < best[1]):
+                best = (ratio, base, step, n, hits)
         return best
 
     # partition [1..N] so the witness phase moves by at most `target` on
@@ -201,24 +201,24 @@ def increment_from_witness(A, witness, floor_n0=2):
         cert = polyphase.partition_polyphase(witness.phase, Progression(1, 1, N), target)
         long_best = select(cert, min_len)
         if long_best is not None and alpha + long_best[0] >= need:
-            ratio, part, hits = long_best
+            ratio, base, step, n, hits = long_best
             break
         if target <= floor_target:
-            ratio, part, hits = select(cert, 1)
+            ratio, base, step, n, hits = select(cert, 1)
             break
         target = max(target / 2, floor_target)
 
-    if part.len < min_len:
+    if n < min_len:
         return Inconclusive("length-floor", stage="pigeonhole")
 
-    new_density = Fraction(hits, part.len)
+    new_density = Fraction(hits, n)
     # the crucial inequality, exact after clearing denominators
     if not new_density >= need:
         return Inconclusive("increment-shortfall", stage="pigeonhole")
 
-    Aprime = DenseSet(part.len, [(x - part.base) // part.step + 1 for x in inside(part)])
+    Aprime = DenseSet(n, [(x - base) // step + 1 for x in inside(base, step, n)])
     return Incremented(
-        part=part,
+        part=Progression(base, step, n),
         new_set=Aprime,
         new_density=float(new_density),
         witness=witness,

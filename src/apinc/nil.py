@@ -49,7 +49,7 @@ from .errors import (
 )
 from . import polyphase
 from .polyphase import PolyPhase, lift
-from .progressions import PartitionCertificate, check_budget, index_slice, refine, repair
+from .progressions import PartitionCertificate, Progression, check_budget, index_slice, refine, repair
 
 TWO_PI = 2.0 * math.pi
 
@@ -344,11 +344,11 @@ def reduce_dimension(Mf, g, F, P, eps):
     # read through the module, never bound here: nil is imported on first
     # use, and a name bound while a tracer had patched polyphase would
     # keep the wrapper after the module is restored (engine does the same)
-    cert = polyphase.partition_polyphase(pivot_phase, P, target)
+    cert = polyphase.partition_polyphase(pivot_phase, Progression(*P), target)
     h = PolySequence([c for i, c in enumerate(g.coords) if i != pivot])
 
     def frozen(R):
-        return F.freeze(pivot, pivot_phase.residue(R.base) / pivot_phase.den)
+        return F.freeze(pivot, pivot_phase.residue(R[0]) / pivot_phase.den)
 
     def state(R):
         return succ, h, frozen(R)
@@ -358,9 +358,8 @@ def reduce_dimension(Mf, g, F, P, eps):
         # those are h's residues, and on Heisenberg its y is b % Dy while
         # no factor reads z (_check_compat), so these are h's points
         F2 = frozen(R)
-        dev = max(
-            abs(F.value(u) - F2.value(u[:pivot] + u[pivot + 1 :])) for u in g.float_points(Mf, R)
-        )
+        points = g.float_points(Mf, Progression(*R))
+        dev = max(abs(F.value(u) - F2.value(u[:pivot] + u[pivot + 1 :])) for u in points)
         return dev <= float(eps_f) + 2**-30
 
     live = succ.dim > 0 and any(f.coord != pivot for f in F.factors)

@@ -150,14 +150,17 @@ def _parse_phase(basis, exact, coeffs):
 def _phase_poly(ph):
     """`_parse_phase` of a serialized phase; a binomial phase's expansion
     is charged first, (d+1)^3 for its d+1 coefficients."""
-    exact, basis, coeffs = ph.get("exact", True), ph["basis"], tuple(ph["coeffs"])
+    exact, basis, coeffs = ph.get("exact", True), ph["basis"], ph["coeffs"]
     if type(exact) is not bool:  # bool("false") is True: read no string or number as a flag
         raise InvalidArgumentError(f"exact must be a JSON boolean, got {exact!r}")
+    # tuple() reads an object as its keys, a string as its characters, and Fraction(False) is 0
+    if type(coeffs) is not list or not all(type(c) in (str, int, float) for c in coeffs):
+        raise InvalidArgumentError(f"coeffs must be a JSON list of strings and numbers, got {coeffs!r}")
     if basis not in ("binomial", "monomial"):
         raise InvalidArgumentError(f"unknown phase basis {basis!r}")
     if basis == "binomial":
         charge(len(coeffs) ** 3, f"expansion of a binomial phase of {len(coeffs)} coefficients")
-    return _parse_phase(basis, exact, coeffs)
+    return _parse_phase(basis, exact, tuple(coeffs))
 
 
 def _horner(T, n):
@@ -335,18 +338,21 @@ def verify_certificate(cert):
     diameter is 0 without evaluation; its witness is still compared.
     Raises CertificateError with a machine-readable reason on the first
     violation ("malformed-certificate" when a field it reads is missing,
-    unreadable or not finite, a phase basis is unknown, a count,
-    progression field, factor coord or k is not an integer, or a
-    progression is empty, has step 0 or leaves the 64-bit range); returns
-    a report dict on success.
+    unreadable, not finite or of another JSON type, a phase basis is
+    unknown, a count, progression field, factor coord or k is not an
+    integer, or a progression is empty, has step 0 or leaves the 64-bit
+    range); returns a report dict on success.
     """
     if hasattr(cert, "to_json"):
         cert = cert.to_json()
     try:  # every field read below, parsed up front
         B, S, N = _triple(cert["source"])
         parts = [_triple(p) for p in cert["parts"]]
-        stored = [float(p["diam"]) for p in cert["parts"]]
-        eps, min_len = float(cert["epsilon"]), cert["min_len"]
+        stored, eps = [p["diam"] for p in cert["parts"]], cert["epsilon"]
+        # float() reads true and "0.05"; NaN and infinity pass every comparison below
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in [eps, *stored]):
+            raise InvalidArgumentError("epsilon and every diam must be finite JSON numbers")
+        eps, stored, min_len = float(eps), [float(w) for w in stored], cert["min_len"]
         if type(min_len) is not int:
             raise InvalidArgumentError(f"min_len must be an integer, got {min_len!r}")
         channel, payload = cert.get("channel", "polyphase"), cert["payload"]
@@ -356,9 +362,6 @@ def verify_certificate(cert):
         InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
     ) as e:
         raise CertificateError("malformed-certificate", f"unreadable certificate: {e!r}") from e
-    # NaN and infinity pass every comparison below: refuse them
-    if not all(map(math.isfinite, [eps, *stored])):
-        raise CertificateError("malformed-certificate", "epsilon and every diam must be finite")
     charge(N * steps, f"verification of {N} points")
 
     # disjoint parts inside the source hold at most N points, so the

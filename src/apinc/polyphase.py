@@ -156,17 +156,18 @@ def _linear_diameters(phi, limit):
     den, c, tables = phi.den, phi.num[1] if len(phi.num) > 1 else 0, {}
 
     def diam_num(Q):
-        g = c * Q.step % den
+        _, step, n = Q
+        g = c * step % den
         if not g:
             return 0
         t = tables.setdefault(g, [0])  # t[j]: the diameter of j + 1 points
         j, best = len(t), t[-1]
-        while j < Q.len and best <= limit:
+        while j < n and best <= limit:
             r = j * g % den
             best = max(best, min(r, den - r))
             t.append(best)
             j += 1
-        return t[min(Q.len, j) - 1]
+        return t[min(n, j) - 1]
 
     return diam_num
 
@@ -349,7 +350,7 @@ def diam_on(phi, P):
 def _local_monomial(phi, Q):
     """Monomial numerators, over den * d! (d the declared degree), of
     t -> phi(base + t*step) on Q's index line."""
-    return _mono_from_bin(_frame(phi.num, Q.base, Q.step))
+    return _mono_from_bin(_frame(phi.num, Q[0], Q[1]))
 
 
 def _within(num, den, length, bound):
@@ -364,11 +365,12 @@ def companion(phi, R):
     degree s, so phi - psi is the tail `_tail_fits` checks on R."""
     s = max(phi.degree, 1)
     loc = _local_monomial(phi, R)
+    base, step, _ = R
     # psi(n) = sum_{i<s} loc[i] u^i / (den d!) with u = (n - base) / step,
     # an integer polynomial in n over den * d! * |step|^(s-1)
-    size, sign = abs(R.step), (1 if R.step > 0 else -1)
+    size, sign = abs(step), (1 if step > 0 else -1)
     w = [c * size ** (s - 1 - i) for i, c in enumerate(loc[:s])]
-    vals = [_horner(w, sign * (n - R.base)) for n in range(s)]
+    vals = [_horner(w, sign * (n - base)) for n in range(s)]
     den = phi.den * factorial(len(loc) - 1) * size ** (s - 1)
     return PolyPhase._from_kernel(den, _differences(vals), "monomial", phi.exact)
 
@@ -376,20 +378,21 @@ def companion(phi, R):
 def _tail_fits(phi, s, dl, theta, tested, R):
     """Whether phi less its degree < s companion leaves a diameter of at
     most theta on the multi-point part R.  `tested` memoises the check on
-    (tail, R.len), the only inputs it reads for fixed s, dl and theta; at
+    (tail, len), the only inputs it reads for fixed s, dl and theta; at
     the top degree the tail is the top monomial term alone, which depends
     only on the part's step, so equal blocks share one check and no local
     expansion is built for them."""
+    _, step, n = R
     if s == phi.declared_degree:
         # the top monomial numerator over den * s! is num[s]; on R's index
         # line it is scaled by step^s
-        tail = (phi.num[s] * R.step**s,)
+        tail = (phi.num[s] * step**s,)
     else:
         tail = tuple(_local_monomial(phi, R)[s:])
     # phi - psi on R is the local tail sum_{i>=s} tail[i-s] t^i
-    key = (tail, R.len)
+    key = (tail, n)
     if key not in tested:
-        tested[key] = _within(_bin_from_mono([0] * s + list(tail)), dl, R.len, theta)
+        tested[key] = _within(_bin_from_mono([0] * s + list(tail)), dl, n, theta)
     return tested[key]
 
 
@@ -414,7 +417,8 @@ def reduce_degree_partition(phi, P, theta_target):
     theta = lift(theta_target)
     if not 0 < theta <= HALF:
         raise PreconditionError("theta_target must lie in (0, 1/2]")
-    if P.len < 2:
+    _, _, length = P
+    if length < 2:
         raise PreconditionError("progression must have length >= 2")
 
     s = phi.degree
@@ -428,7 +432,7 @@ def reduce_degree_partition(phi, P, theta_target):
     # keep the one whose induced block length is largest (ties to the
     # smallest difference).  The sqrt bound alone misses exact rational
     # kills whose denominator lies between sqrt(len) and len.
-    bound = max(1, min(P.len - 1, max(isqrt(P.len), 64)))
+    bound = max(1, min(length - 1, max(isqrt(length), 64)))
     n_w, ell = 1, 0
     for n in range(1, bound + 1):
         r = lead * n**s % dl
@@ -437,10 +441,10 @@ def reduce_degree_partition(phi, P, theta_target):
             ratio_floor = (tn << EPS0_FLOOR_BITS) // td
         else:
             ratio_floor = tn * dl // (td * v)
-        b = _block_len(ratio_floor, s, P.len, n)
+        b = _block_len(ratio_floor, s, length, n)
         if b > ell:
             n_w, ell = n, b
-        if ell >= P.len // n:
+        if ell >= length // n:
             break  # no larger difference can allow a longer block
 
     # a module-level check, not a closure: closing over s and dl would

@@ -1,10 +1,12 @@
 """Integer arithmetic progressions, subdivision and the partition skeleton.
 
 A progression is the triple (base, step, len) with elements
-base + i*step for 0 <= i < len.  All element arithmetic is checked
+base + i*step for 0 <= i < len.  A `Progression` checks its elements
 against a signed 64-bit range: Python integers never wrap, but a
 certificate whose elements silently left the machine-word range would
-not be checkable by external tools, so we reject it up front.
+not be checkable by external tools, so a source is refused up front.
+A part of a partition lies inside its checked source and is the plain
+tuple (base, step, len) from there to its certificate row.
 """
 
 import json
@@ -28,7 +30,7 @@ def _check_range(*xs):
             raise IntegerRangeError(f"integer {x} outside the checked 64-bit range")
 
 
-@dataclass(frozen=True, slots=True)  # no per-part __dict__: partitions keep thousands of parts
+@dataclass(frozen=True, slots=True)
 class Progression:
     base: int
     step: int
@@ -39,22 +41,11 @@ class Progression:
             raise InvalidArgumentError(f"len must be >= 1, got {self.len}")
         if self.step == 0:
             raise InvalidArgumentError("step must be nonzero")
-        _check_range(self.base, self.step, self.last)
-
-    @property
-    def last(self):
-        return self.base + (self.len - 1) * self.step
-
-    def __len__(self):
-        return self.len
+        _check_range(self.base, self.step, self.base + (self.len - 1) * self.step)
 
     def elements(self):
         """All elements in index order."""
         return [self.base + i * self.step for i in range(self.len)]
-
-    def __contains__(self, x):
-        q, r = divmod(x - self.base, self.step)
-        return r == 0 and 0 <= q < self.len
 
     def to_json(self):
         return {"base": self.base, "step": self.step, "len": self.len}
@@ -69,8 +60,8 @@ class Progression:
 
 @dataclass
 class PartitionCertificate:
-    """Disjoint progression parts covering `source`, with per-part
-    exhaustively computed diameter witnesses.
+    """Disjoint (base, step, len) parts covering the `Progression`
+    `source`, with per-part exhaustively computed diameter witnesses.
 
     Invariants (re-checked by the independent verifier in `oracle`):
       * parts are pairwise disjoint and their union is `source`;
@@ -97,11 +88,11 @@ class PartitionCertificate:
 
     @property
     def min_len(self):
-        return min(p.len for p in self.parts)
+        return min(n for _, _, n in self.parts)
 
     def to_json(self):
-        rows = [dict(p.to_json(), diam=float(w)) for p, w in zip(self.parts, self.diam_witness)]
-        return self._json(rows)
+        pairs = zip(self.parts, self.diam_witness)
+        return self._json([dict(base=b, step=s, len=n, diam=float(w)) for (b, s, n), w in pairs])
 
     def _json(self, parts):
         return {
@@ -124,12 +115,12 @@ class PartitionCertificate:
             raise InvalidArgumentError("every diameter witness must be finite")
         text = json.dumps(self._json([]), indent=2, sort_keys=True)
         head, tail = text.split(_NO_PARTS)
-        rows = ",".join([_ROW % (p.base, repr(w), p.len, p.step) for p, w in zip(self.parts, ws)])
+        rows = ",".join([_ROW % (b, repr(w), n, s) for (b, s, n), w in zip(self.parts, ws)])
         return f'{head}\n  "parts": [{rows}\n  ]{tail}'
 
 
 def subdivide(P, mult, block):
-    """Split P into progressions of common difference step(P)*mult.
+    """Split the part P into parts of common difference step(P)*mult.
 
     Each residue class i mod mult is chopped into consecutive blocks of
     length `block`, the trailing remainder (if any) becoming a shorter
@@ -137,29 +128,31 @@ def subdivide(P, mult, block):
     is pairwise disjoint, covers P exactly, and uses the minimal number
     of parts for the given (mult, block).
     """
+    base, step, n = P
     if mult < 1 or block < 1:
         raise InvalidArgumentError(f"mult and block must be positive, got {mult}, {block}")
-    if mult > P.len:
-        raise InvalidArgumentError(f"mult {mult} exceeds progression length {P.len}")
+    if mult > n:
+        raise InvalidArgumentError(f"mult {mult} exceeds progression length {n}")
     parts = []
     for r in range(mult):
-        class_len = (P.len - r + mult - 1) // mult
+        class_len = (n - r + mult - 1) // mult
         t = 0
         while t < class_len:
             ln = min(block, class_len - t)
-            parts.append(Progression(P.base + (r + t * mult) * P.step, P.step * mult, ln))
+            parts.append((base + (r + t * mult) * step, step * mult, ln))
             t += ln
     return parts
 
 
 def index_slice(P, Q):
-    """The slice of P's index line that the sub-progression Q occupies:
-    Q's i-th element is P's element start + i * stride, so an array of
-    values over P sliced by it holds Q's values in Q's order.  Refuses a
-    Q that is not on that line."""
-    start, off = divmod(Q.base - P.base, P.step)
-    stride, rem = divmod(Q.step, P.step)
-    stop = start + (Q.len - 1) * stride
+    """The slice of the `Progression` P's index line that the part Q
+    occupies: Q's i-th element is P's element start + i * stride, so an
+    array of values over P sliced by it holds Q's values in Q's order.
+    Refuses a Q that is not on that line."""
+    base, step, n = Q
+    start, off = divmod(base - P.base, P.step)
+    stride, rem = divmod(step, P.step)
+    stop = start + (n - 1) * stride
     if off or rem or stride < 1 or start < 0 or stop >= P.len:
         raise InvalidArgumentError(f"{Q} is not a sub-progression on the index line of {P}")
     return slice(start, stop + 1, stride)
@@ -168,35 +161,34 @@ def index_slice(P, Q):
 def merge_parts(parts, measured, diam, limit):
     """Coarsen a partition: greedily absorb a following contiguous
     same-step part (or a singleton) while the union's diameter is at
-    most `limit`.  `measured` maps (base, step, len) to the diameter of
-    every part already measured; a trial found there is not measured
-    again, and every union kept records its own there.  Parts are walked
-    by base in the source's direction (downwards for a negative step,
-    which all parts share), so each part's continuation is still
-    unwalked when its turn comes; the result is in base order."""
-    descending = parts[0].step < 0
-    by_base = {p.base: p for p in parts}
+    most `limit`.  `measured` maps every part already measured to its
+    diameter; a trial found there is not measured again, and every union
+    kept records its own there.  Parts are walked by base in the source's
+    direction (downwards for a negative step, which all parts share), so
+    each part's continuation is still unwalked when its turn comes; the
+    result is in base order."""
+    descending = parts[0][1] < 0
+    by_base = {p[0]: p for p in parts}
     merged, used = [], set()
     for b in sorted(by_base, reverse=descending):
         if b in used:
             continue
-        cur = by_base[b]
+        _, step, n = by_base[b]
         used.add(b)
         while True:
-            nxt = by_base.get(cur.base + cur.len * cur.step)
-            if nxt is None or nxt.base in used or not (nxt.step == cur.step or nxt.len == 1):
+            nxt = by_base.get(b + n * step)
+            if nxt is None or nxt[0] in used or not (nxt[1] == step or nxt[2] == 1):
                 break
             # each base starts one chain and a chain ends at its first
             # rejection, so a trial recurs only as a part the visit measured
-            key = (b, cur.step, cur.len + nxt.len)
-            trial = None if key in measured else Progression(*key)
-            w = measured[key] if trial is None else diam(trial)
+            trial = (b, step, n + nxt[2])
+            w = measured[trial] if trial in measured else diam(trial)
             if w > limit:
                 break
-            used.add(nxt.base)
-            cur = Progression(*key) if trial is None else trial
-            measured[key] = w
-        merged.append(cur)
+            used.add(nxt[0])
+            measured[trial] = w
+            n += nxt[2]
+        merged.append((b, step, n))
     return merged[::-1] if descending else merged
 
 
@@ -208,13 +200,14 @@ def repair(parts, fits):
     out, stack = [], parts[::-1]  # popped in the order given
     while stack:
         R = stack.pop()
-        if R.len == 1 or fits(R):
+        base, step, n = R
+        if n == 1 or fits(R):
             out.append(R)
         else:
-            h = R.len // 2
-            stack.append(Progression(R.base + h * R.step, R.step, R.len - h))
-            stack.append(Progression(R.base, R.step, h))
-    out.sort(key=lambda R: R.base)
+            h = n // 2
+            stack.append((base + h * step, step, n - h))
+            stack.append((base, step, h))
+    out.sort()  # disjoint parts have distinct bases: tuple order is base order
     return out
 
 
@@ -242,11 +235,11 @@ def refine(P, root, diam, limit, reduce):
     `reduce`: the channels' level budgets sum to at most the limit, so a
     part over it does not end its reductions whole (the nil channel's
     float slack aside), and two points split only one way.  Every
-    diameter measured is recorded, keyed by (base, step, len); the
-    kept parts are re-merged under `limit` with that record, so no trial
-    equal to a part already measured is measured again.  Returns the
-    parts in base order, their witnesses (the recorded diameter, 0 for a
-    point) and the deepest level reached (P is level 0).
+    diameter measured is recorded, keyed by the part; the kept parts are
+    re-merged under `limit` with that record, so no trial equal to a part
+    already measured is measured again.  Returns the parts (tuples, as every
+    Q and R here) in base order, their witnesses (the recorded diameter, 0
+    for a point) and the deepest level reached (the `Progression` P is 0).
 
     `diam(Q)` must return the diameter when that is at most `limit`, and
     may return any value above `limit` otherwise: such a value only
@@ -254,25 +247,26 @@ def refine(P, root, diam, limit, reduce):
     returned, which the level budgets hold to at most `limit` (the nil
     channel's float slack aside).
     """
-    parts, measured, depth = [], {}, 0  # measured: (base, step, len) -> diameter
+    parts, measured, depth = [], {}, 0  # measured: part -> diameter
 
     def visit(Q, state, level):
         nonlocal depth
-        if Q.len == 1:
+        base, step, n = Q
+        if n == 1:
             parts.append(Q)
             return
-        w = measured[Q.base, Q.step, Q.len] = diam(Q)
+        w = measured[Q] = diam(Q)
         if state is None or w <= limit:
             parts.append(Q)
             return
         depth = max(depth, level + 1)
-        if Q.len == 2:
-            parts.extend((Progression(Q.base, Q.step, 1), Progression(Q.last, Q.step, 1)))
+        if n == 2:
+            parts.extend(((base, step, 1), (base + step, step, 1)))
             return
         for R, child in reduce(state, Q):
             visit(R, child, level + 1)
 
-    visit(P, root, 0)
+    visit((P.base, P.step, P.len), root, 0)
     del visit  # a recursive closure is a cycle: free its state on return, not at a full collection
     merged = merge_parts(parts, measured, diam, limit)
-    return merged, [measured.get((p.base, p.step, p.len), 0) for p in merged], depth
+    return merged, [measured.get(part, 0) for part in merged], depth

@@ -402,6 +402,36 @@ class TestPartitionAndVerify:
         assert code == 2 and out == ""
         assert json.loads(err)["reason"] == "malformed-certificate"
 
+    # float() reads true as 1.0 and "0.05" as 0.05, and tuple() reads an
+    # object as its keys, a string as its characters and false as 0: on
+    # the three diameter-0 parts of 1/3 n, each edit would verify
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.update(epsilon=True),
+            lambda c: c.update(epsilon="0.05"),
+            lambda c: c["parts"][1].update(diam="0.0"),
+            lambda c: c["parts"][1].update(diam=False),
+            lambda c: c["payload"]["phase"].update(coeffs={"0/1": 7, "1/3": 9}),
+            lambda c: c["payload"]["phase"].update(coeffs="0"),
+            lambda c: c["payload"]["phase"].update(coeffs=[False, "1/3"]),
+        ],
+        ids=["eps-true", "eps-string", "diam-string", "diam-false", "coeffs-object", "coeffs-string",
+             "coeffs-false"],
+    )
+    def test_non_number_field_refused(self, tmp_path, capsys, edit):
+        out_path = tmp_path / "cert.json"
+        run(capsys, "partition-phase", "--phase", "1/3 n", "--range", "1..90",
+            "--eps", "0.05", "--out", str(out_path))
+        cert = json.loads(out_path.read_text())
+        assert [p["diam"] for p in cert["parts"]] == [0.0] * 3
+        code, _, _ = self._verify(tmp_path, capsys, cert)
+        assert code == 0
+        edit(cert)
+        code, out, err = self._verify(tmp_path, capsys, cert)
+        assert code == 2 and out == ""
+        assert json.loads(err)["reason"] == "malformed-certificate"
+
     # a phase's `exact` flag is a JSON boolean or absent: read with
     # bool(), "false" would verify the decimal phase 1/10, 3/10 in place
     # of the doubles the certificate was built from

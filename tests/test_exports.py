@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +46,14 @@ def test_names_read_the_owning_module(monkeypatch):
     assert apinc.partition_polyphase is sentinel
     monkeypatch.undo()
     assert apinc.partition_polyphase is apinc.polyphase.partition_polyphase
+
+
+def test_readme_library_example_runs(capsys):
+    # README's "Library example" block, run as it stands: a change to an
+    # entry point it calls, or to the part type, fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for name in ("partition_polyphase", "verify_certificate", "szemeredi_search"):
+        assert f"{name}(" in block
+    exec(compile(block, "README.md", "exec"), {})
+    assert "'variant'" in capsys.readouterr().out

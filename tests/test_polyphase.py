@@ -31,6 +31,12 @@ def in_basis(phi, basis):
     return PolyPhase._from_kernel(phi.den, phi.num, basis, phi.exact)
 
 
+def elements(Q):
+    """The elements of the part Q = (base, step, len), in index order."""
+    base, step, n = Q
+    return [base + i * step for i in range(n)]
+
+
 def compose_affine(phi, a, b):
     """Reference: the phase m -> phi(a*m + b) for integers a and b,
     through the kernel's rational composition."""
@@ -152,19 +158,19 @@ class TestDiam:
 class TestReduceDegree:
     def test_half_n_residues(self):
         phi = PolyPhase.monomial([0, Fraction(1, 2)])
-        out = reduce_degree_partition(phi, Progression(1, 1, 16), Fraction(1, 100))
+        out = reduce_degree_partition(phi, (1, 1, 16), Fraction(1, 100))
         for part, state in out:
             psi = state()
             assert psi.degree < phi.degree
             assert brute_diam_phase(phi - psi, part) <= Fraction(1, 100)
-        covered = sorted(x for part, _ in out for x in part.elements())
+        covered = sorted(x for part, _ in out for x in elements(part))
         assert covered == list(range(1, 17))
 
     def test_constant_mod_one(self):
         phi = PolyPhase.monomial([Fraction(1, 3), 0])
         # nothing is left to reduce: the part is kept whole, with no state
-        out = reduce_degree_partition(phi, Progression(1, 1, 40), Fraction(1, 10))
-        assert out == [(Progression(1, 1, 40), None)]
+        out = reduce_degree_partition(phi, (1, 1, 40), Fraction(1, 10))
+        assert out == [((1, 1, 40), None)]
 
     @given(
         coeffs=st.lists(rationals, min_size=2, max_size=3),
@@ -176,12 +182,12 @@ class TestReduceDegree:
     @settings(max_examples=100, deadline=None)
     def test_contract(self, coeffs, length, theta, base, step):
         phi = PolyPhase.monomial(coeffs)
-        P = Progression(base, step, length)
+        P = (base, step, length)
         out = reduce_degree_partition(phi, P, theta)
         covered = []
         s = phi.degree
         for part, state in out:
-            covered.extend(part.elements())
+            covered.extend(elements(part))
             if s == 0:  # the phase itself is within theta
                 assert state is None
                 assert brute_diam_phase(phi, part) <= theta
@@ -189,7 +195,7 @@ class TestReduceDegree:
             psi = state()
             assert psi.degree <= s - 1
             assert brute_diam_phase(phi - psi, part) <= theta
-        assert sorted(covered) == sorted(P.elements())
+        assert sorted(covered) == sorted(elements(P))
 
     @given(
         coeffs=st.lists(rationals, min_size=2, max_size=3),
@@ -216,7 +222,7 @@ class TestReduceDegree:
         import apinc.polyphase as polyphase
 
         phi = PolyPhase.binomial(coeffs + ([] if top is None else [top]))
-        P = Progression(base, step, length)
+        P = (base, step, length)
         memo = reduce_degree_partition(phi, P, theta)
         tail_fits = polyphase._tail_fits
         with pytest.MonkeyPatch.context() as mp:
@@ -242,8 +248,8 @@ class TestReduceDegree:
             repair = module.repair
 
             def spy(parts, fits):
-                out = repair(parts, lambda R: checked.append(R.len) or fits(R))
-                kept.extend(R.len for R in out)
+                out = repair(parts, lambda R: checked.append(R[2]) or fits(R))
+                kept.extend(n for _, _, n in out)
                 return out
 
             monkeypatch.setattr(module, "repair", spy)
@@ -251,13 +257,13 @@ class TestReduceDegree:
         spy_repair(polyphase)
         spy_repair(nil)
         phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
-        reduce_degree_partition(phi, Progression(1, 1, 200), Fraction(1, 100))
+        reduce_degree_partition(phi, (1, 1, 200), Fraction(1, 100))
         g = PolySequence(
             [PolyPhase.monomial([0, math.sqrt(2)]), PolyPhase.monomial([0, math.sqrt(3)]), PolyPhase.zero()]
         )
         F = lipschitz_catalog("e(x)*cutoff")
         for eps in (Fraction(1, 10), Fraction(1, 2)):  # pivot parts of length 1, then 4-6
-            reduce_dimension(Nilmanifold.heisenberg(), g, F, Progression(1, 1, 300), eps)
+            reduce_dimension(Nilmanifold.heisenberg(), g, F, (1, 1, 300), eps)
         for kept, checked in calls.values():
             assert 1 in kept and 1 not in checked
             assert checked
@@ -269,7 +275,7 @@ def built(pairs):
 
 
 def brute_diam_phase(phi, part):
-    return circle_diam([phi.eval(n) for n in part.elements()])
+    return circle_diam([phi.eval(n) for n in elements(part)])
 
 
 def assert_merged_maximal(cert, coeffs, eps):
@@ -279,14 +285,15 @@ def assert_merged_maximal(cert, coeffs, eps):
     point) exceeds it."""
 
     def diam(parts):
-        return ref_diam([ref_value(coeffs, "binomial", n) for p in parts for n in p.elements()])
+        return ref_diam([ref_value(coeffs, "binomial", n) for p in parts for n in elements(p)])
 
     for p, w in zip(cert.parts, cert.diam_witness):
         assert diam([p]) <= Fraction(eps) and w == float(diam([p]))
-    by_base = {p.base: p for p in cert.parts}
+    by_base = {p[0]: p for p in cert.parts}
     for M in cert.parts:
-        N = by_base.get(M.base + M.len * M.step)
-        if N is not None and (N.step == M.step or N.len == 1):
+        base, step, n = M
+        N = by_base.get(base + n * step)
+        if N is not None and (N[1] == step or N[2] == 1):
             assert diam([M, N]) > Fraction(eps)
 
 
@@ -301,7 +308,7 @@ class TestPartition:
             PolyPhase.monomial([0, Fraction(1, 2)]), Progression(1, 1, 100), 0.1
         )
         assert all(w == 0.0 for w in cert.diam_witness)
-        assert all(p.step % 2 == 0 or p.len == 1 for p in cert.parts)
+        assert all(step % 2 == 0 or n == 1 for _, step, n in cert.parts)
 
     def test_verifier_accepts(self):
         phi = PolyPhase.binomial([0, Fraction(3, 64), Fraction(5, 64)])
@@ -327,7 +334,7 @@ class TestPartition:
         phi = PolyPhase.binomial(coeffs)
         P = Progression(1, 1, length)
         cert = partition_polyphase(phi, P, eps)
-        covered = sorted(x for p in cert.parts for x in p.elements())
+        covered = sorted(x for p in cert.parts for x in elements(p))
         assert covered == P.elements()
         for p, w in zip(cert.parts, cert.diam_witness):
             true_diam = brute_diam_phase(phi, p)
@@ -363,9 +370,9 @@ class TestPartition:
         phi = PolyPhase.binomial(coeffs)
         cert = partition_polyphase(phi, Progression(600, -3, 200), 0.2)
         assert verify_certificate(cert)["ok"]
-        assert any(p.len > 1 and p.step < 0 for p in cert.parts)
+        assert any(n > 1 and step < 0 for _, step, n in cert.parts)
         for p, w in zip(cert.parts, cert.diam_witness):
-            assert w == float(diam_on(phi, p))
+            assert w == float(diam_on(phi, Progression(*p)))
         assert_merged_maximal(cert, coeffs, 0.2)
         assert cert.num_parts == 109
 
@@ -391,7 +398,7 @@ def reduced_leaves(phi, Q, eps):
     leaves = []
 
     def visit(R, state):
-        if R.len == 1 or diam_on(phi, R) <= eps or state is None:
+        if R[2] == 1 or diam_on(phi, Progression(*R)) <= eps or state is None:
             leaves.append(R)
             return
         phase = state()
@@ -421,11 +428,11 @@ class TestFailingPair:
         phi = PolyPhase.binomial(coeffs[:-1] + [coeffs[-1] * top])
         Q = Progression(base, step, 2)
         assume(1 <= phi.degree and diam_on(phi, Q) > eps)
-        leaves = reduced_leaves(phi, Q, eps)
-        assert sorted(R.base for R in leaves) == sorted(Q.elements())
-        assert all(R.len == 1 for R in leaves)
+        leaves = reduced_leaves(phi, (base, step, 2), eps)
+        assert sorted(b for b, _, _ in leaves) == sorted(Q.elements())
+        assert all(n == 1 for _, _, n in leaves)
         points = partition_polyphase(phi, Q, eps).parts
-        assert points == sorted(leaves, key=lambda R: R.base)
+        assert points == sorted(leaves)
 
 
 def test_criterion_5_input_reduces_once(monkeypatch):
@@ -464,56 +471,49 @@ def test_criterion_5_input_reduces_once(monkeypatch):
     monkeypatch.setattr(polyphase, "_local_monomial", spy_local_monomial)
     P = Progression(1, 1, 20000)
     cert = partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), P, 0.05)
-    assert reduced == [P]
+    assert reduced == [(1, 1, 20000)]
     assert companions == []
     assert 0 < len(tails) == len(set(tails))
     assert cert.num_parts == 18733
     assert len(diams) == 19940
     # a top-degree tail is keyed by the block's step: no block is expanded
     # (9983 were), only the source, for its leading coefficient
-    assert expansions == [P]
+    assert expansions == [(1, 1, 20000)]
 
 
-def test_criterion_5_merge_builds_only_what_it_measures(monkeypatch):
-    # the merge looks each trial up in `refine`'s record of measured parts
-    # before building it: a trial equal to a part the visit measured over
-    # the limit builds nothing (8982 of the 18938 trials), and a trial
-    # measured and kept is the union itself
-    import apinc.polyphase as polyphase
-    import apinc.progressions as progressions
+def test_partitions_build_a_progression_only_at_the_boundary(monkeypatch):
+    # a part is a (base, step, len) tuple from the source to the
+    # certificate: criterion 5's build constructs its source alone, and
+    # Heisenberg 1..5000 its source and the pivot partition's source
+    # (the parts are points, so no deviation check runs)
+    from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, partition_nilsequence
 
-    built, measured, in_merge = [], [], []
-    merge, post_init, diam_num = progressions.merge_parts, Progression.__post_init__, polyphase._diam_num
-
-    def spy_merge(*args):
-        in_merge.append(True)
-        try:
-            return merge(*args)
-        finally:
-            in_merge.clear()
+    built, post_init = [], Progression.__post_init__
 
     def spy_post_init(self):
-        if in_merge:
-            built.append(self)
+        built.append(self)
         post_init(self)
 
-    def spy_diam_num(res, den):
-        if in_merge:
-            measured.append(len(res))
-        return diam_num(res, den)
-
-    monkeypatch.setattr(progressions, "merge_parts", spy_merge)
     monkeypatch.setattr(Progression, "__post_init__", spy_post_init)
-    monkeypatch.setattr(polyphase, "_diam_num", spy_diam_num)
-    partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), Progression(1, 1, 20000), 0.05)
-    assert [R.len for R in built] == measured
-    assert len(built) == 9956
+    phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
+    cert = partition_polyphase(phi, Progression(1, 1, 20000), 0.05)
+    assert len(built) == 1
+    g = PolySequence(
+        [PolyPhase.monomial([0, math.sqrt(2)]), PolyPhase.monomial([0, math.sqrt(3)]), PolyPhase.zero()]
+    )
+    built.clear()
+    nil_cert = partition_nilsequence(
+        Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), Progression(1, 1, 5000), 0.1
+    )
+    assert len(built) == 2
+    for p in cert.parts + nil_cert.parts:
+        assert type(p) is tuple and len(p) == 3 and all(type(x) is int for x in p)
 
 
 def test_oracle_brute_diam_agrees():
     phi = PolyPhase.binomial([0, Fraction(2, 7), Fraction(3, 11)])
     P = Progression(3, 2, 60)
-    assert brute_diam({"phase": phi.to_json()}, P) == brute_diam_phase(phi, P)
+    assert brute_diam({"phase": phi.to_json()}, P) == brute_diam_phase(phi, (3, 2, 60))
 
 
 # ---------------------------------------------------------------------
@@ -662,13 +662,13 @@ class TestLinearDiameters:
         phi=linear_phases(),
         eps=st.fractions(0, Fraction(1, 2)),
         parts=st.lists(
-            st.builds(Progression, st.integers(-300, 300), st.sampled_from([1, 2, 3, 7, -1, -2, -5]),
+            st.tuples(st.integers(-300, 300), st.sampled_from([1, 2, 3, 7, -1, -2, -5]),
                       st.integers(1, 300)),
             min_size=1, max_size=6,
         ),
     )
     @example(phi=PolyPhase.binomial([Fraction(1, 3), Fraction(2, 7), 5]), eps=Fraction(1, 7),
-             parts=[Progression(4, -3, 9), Progression(0, 1, 40), Progression(9, 2, 3)])
+             parts=[(4, -3, 9), (0, 1, 40), (9, 2, 3)])
     @settings(max_examples=300, deadline=None)
     def test_matches_residue_diameter(self, phi, eps, parts):
         # the tables, shared by parts of every step and length in any
@@ -678,6 +678,6 @@ class TestLinearDiameters:
         limit = eps.numerator * phi.den // eps.denominator
         diam_num = _linear_diameters(phi, limit)
         for Q in parts:
-            got, exact = diam_num(Q), _diam_num(phi.residues(Q), phi.den)
+            got, exact = diam_num(Q), _diam_num(phi.residues(Progression(*Q)), phi.den)
             if got <= limit or exact <= limit:
                 assert got == exact

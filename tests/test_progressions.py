@@ -24,17 +24,21 @@ from apinc.progressions import (
 )
 
 
+def elements(Q):
+    """The elements of the part Q = (base, step, len), in index order."""
+    base, step, n = Q
+    return [base + i * step for i in range(n)]
+
+
 class TestProgression:
     def test_elements_and_len(self):
         P = Progression(1, 1, 10)
         assert P.elements() == list(range(1, 11))
-        assert len(P) == 10
-        assert P.last == 10
+        assert P.len == 10
 
     def test_negative_step(self):
         P = Progression(7, -2, 4)
         assert P.elements() == [7, 5, 3, 1]
-        assert 3 in P and 2 not in P
 
     def test_distinctness(self):
         P = Progression(5, 3, 7)
@@ -64,25 +68,25 @@ class TestProgression:
 class TestSubdivide:
     def test_mod2_blocks_of_3(self):
         # residue class {1,3,5,7,9} splits {1,3,5},{7,9}; evens likewise
-        parts = subdivide(Progression(1, 1, 10), 2, 3)
-        got = sorted(tuple(p.elements()) for p in parts)
+        parts = subdivide((1, 1, 10), 2, 3)
+        got = sorted(tuple(elements(p)) for p in parts)
         assert got == [(1, 3, 5), (2, 4, 6), (7, 9), (8, 10)]
 
     def test_identity_case(self):
-        P = Progression(0, 1, 6)
+        P = (0, 1, 6)
         assert subdivide(P, 1, 6) == [P]
 
     def test_three_classes_step9(self):
-        parts = subdivide(Progression(5, 3, 7), 3, 2)
+        parts = subdivide((5, 3, 7), 3, 2)
         # residue classes have lengths 3, 2, 2; blocks of <= 2 give 2+1+1
         assert len(parts) == 4
-        assert all(p.step == 9 for p in parts)
-        assert all(p.len <= 2 for p in parts)
-        all_elems = sorted(x for p in parts for x in p.elements())
-        assert all_elems == Progression(5, 3, 7).elements()
+        assert all(step == 9 for _, step, _ in parts)
+        assert all(n <= 2 for _, _, n in parts)
+        all_elems = sorted(x for p in parts for x in elements(p))
+        assert all_elems == elements((5, 3, 7))
 
     def test_invalid_args(self):
-        P = Progression(1, 1, 10)
+        P = (1, 1, 10)
         with pytest.raises(InvalidArgumentError):
             subdivide(P, 0, 3)
         with pytest.raises(InvalidArgumentError):
@@ -99,33 +103,35 @@ class TestSubdivide:
     )
     @settings(max_examples=200, deadline=None)
     def test_exact_cover_multiset(self, base, step, length, mult, block):
-        P = Progression(base, step, length)
+        P = (base, step, length)
         if mult > length:
             with pytest.raises(InvalidArgumentError):
                 subdivide(P, mult, block)
             return
         parts = subdivide(P, mult, block)
-        concat = sorted(x for p in parts for x in p.elements())
-        assert concat == sorted(P.elements())
-        assert all(p.step == step * mult for p in parts)
-        assert all(1 <= p.len <= block for p in parts)
+        concat = sorted(x for p in parts for x in elements(p))
+        assert concat == sorted(elements(P))
+        assert all(s == step * mult for _, s, _ in parts)
+        assert all(1 <= n <= block for _, _, n in parts)
 
 
 @st.composite
 def source_and_parts(draw):
     """A source P with bases near +-2^40 and negative steps allowed, and
-    sub-progressions of it as the partitioners cut them: the parts of
-    one `subdivide` and their halves, two levels deep."""
+    (base, step, len) parts of it as the partitioners cut them: the parts
+    of one `subdivide` and their halves, two levels deep."""
     base = draw(st.sampled_from([-(2**40), 2**40])) + draw(st.integers(-50, 50))
     P = Progression(base, draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 60)))
-    parts = subdivide(P, draw(st.integers(1, min(P.len, 5))), draw(st.integers(1, P.len)))
+    mult, block = draw(st.integers(1, min(P.len, 5))), draw(st.integers(1, P.len))
+    parts = subdivide((P.base, P.step, P.len), mult, block)
 
     def halves(Q, depth):
         yield Q
-        if depth and Q.len > 1:
-            h = Q.len // 2
-            yield from halves(Progression(Q.base, Q.step, h), depth - 1)
-            yield from halves(Progression(Q.base + h * Q.step, Q.step, Q.len - h), depth - 1)
+        base, step, n = Q
+        if depth and n > 1:
+            h = n // 2
+            yield from halves((base, step, h), depth - 1)
+            yield from halves((base + h * step, step, n - h), depth - 1)
 
     return P, [R for Q in parts for R in halves(Q, 2)]
 
@@ -141,18 +147,18 @@ coeff_lists = st.lists(
 class TestIndexSlice:
     def test_negative_step_sub_progression(self):
         P = Progression(10, -3, 20)
-        Q = Progression(7, -6, 3)
+        Q = (7, -6, 3)
         assert index_slice(P, Q) == slice(1, 6, 2)
-        assert P.elements()[index_slice(P, Q)] == Q.elements() == [7, 1, -5]
+        assert P.elements()[index_slice(P, Q)] == elements(Q) == [7, 1, -5]
 
     @pytest.mark.parametrize(
         "Q",
         [
-            Progression(9, -3, 2),  # base off the line
-            Progression(10, -4, 2),  # step not a multiple of P's
-            Progression(7, 3, 2),  # on the line, in the reverse direction
-            Progression(13, -3, 2),  # starts before P
-            Progression(10, -3, 21),  # runs past P's end
+            (9, -3, 2),  # base off the line
+            (10, -4, 2),  # step not a multiple of P's
+            (7, 3, 2),  # on the line, in the reverse direction
+            (13, -3, 2),  # starts before P
+            (10, -3, 21),  # runs past P's end
         ],
     )
     def test_refuses_off_line(self, Q):
@@ -167,7 +173,7 @@ class TestIndexSlice:
         phi = PolyPhase(coeffs, basis)
         res = phi.residues(P)
         for Q in parts:
-            assert res[index_slice(P, Q)] == phi.residues(Q)
+            assert res[index_slice(P, Q)] == phi.residues(Progression(*Q))
 
     @given(src=source_and_parts(), coeffs=st.lists(coeff_lists, min_size=3, max_size=3),
            kind=st.sampled_from(["heisenberg", "torus"]))
@@ -182,7 +188,7 @@ class TestIndexSlice:
         vals = nil_values(Mf, g, F, P)
         for Q in parts:
             got = np.ascontiguousarray(vals[index_slice(P, Q)]).view(np.uint64)
-            assert np.array_equal(got, nil_values(Mf, g, F, Q).view(np.uint64))
+            assert np.array_equal(got, nil_values(Mf, g, F, Progression(*Q)).view(np.uint64))
 
 
 class TestSkeleton:
@@ -195,31 +201,29 @@ class TestSkeleton:
     )
     @settings(max_examples=200, deadline=None)
     def test_repair_covers_caps_and_orders(self, base, step, length, mult, cap):
-        P = Progression(base, step, length)
+        P = (base, step, length)
         parts = subdivide(P, min(mult, length), length)
-        got = repair(parts, lambda R: R.len <= cap)
-        assert sorted(x for R in got for x in R.elements()) == sorted(P.elements())
-        assert all(R.len <= cap for R in got)
-        assert [R.base for R in got] == sorted(R.base for R in got)
+        got = repair(parts, lambda R: R[2] <= cap)
+        assert sorted(x for R in got for x in elements(R)) == sorted(elements(P))
+        assert all(n <= cap for _, _, n in got)
+        assert [b for b, _, _ in got] == sorted(b for b, _, _ in got)
 
     def test_refine_leaves_no_reference_cycle(self):
         # the recursive visit must not keep the parts it saw alive until
         # the next full collection
         def halve(state, Q):
-            h = Q.len // 2
-            return [
-                (Progression(Q.base, Q.step, h), state),
-                (Progression(Q.base + h * Q.step, Q.step, Q.len - h), state),
-            ]
+            base, step, n = Q
+            h = n // 2
+            return [((base, step, h), state), ((base + h * step, step, n - h), state)]
 
         gc.collect()
         gc.disable()
         try:
-            parts, _, _ = refine(Progression(0, 1, 64), 0, lambda Q: Q.len, 3, halve)
+            parts, _, _ = refine(Progression(0, 1, 64), 0, lambda Q: Q[2], 3, halve)
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert [Q.len for Q in parts] == [2] * 32
+        assert [n for _, _, n in parts] == [2] * 32
 
     def test_refine_keeps_parts_whose_state_is_none(self):
         calls = []
@@ -227,41 +231,40 @@ class TestSkeleton:
         def halve(state, Q):
             # the state counts the levels left; None once none are
             calls.append((Q, state))
-            h = Q.len // 2
+            base, step, n = Q
+            h = n // 2
             child = state - 1 or None
-            return [
-                (Progression(Q.base, Q.step, h), child),
-                (Progression(Q.base + h * Q.step, Q.step, Q.len - h), child),
-            ]
+            return [((base, step, h), child), ((base + h * step, step, n - h), child)]
 
         measured = []
 
         def diam(Q):  # the largest element stands in for the diameter
             measured.append(Q)
-            return Q.last
+            base, step, n = Q
+            return base + (n - 1) * step
 
         P = Progression(0, 1, 8)
         # depth 0: nothing to reduce, and P is kept whole, measured once
         # for its witness
-        assert refine(P, None, diam, 5, halve) == ([P], [7], 0)
-        assert calls == [] and measured == [P]
+        assert refine(P, None, diam, 5, halve) == ([(0, 1, 8)], [7], 0)
+        assert calls == [] and measured == [(0, 1, 8)]
         # a point is kept with witness 0 and never measured
         measured.clear()
-        assert refine(Progression(3, 1, 1), 2, diam, 5, halve) == ([Progression(3, 1, 1)], [0], 0)
+        assert refine(Progression(3, 1, 1), 2, diam, 5, halve) == ([(3, 1, 1)], [0], 0)
         assert calls == measured == []
         # depth 2: [0..3] fits early, [4..7] is halved, and its halves
         # [4, 5] and [6, 7] are kept with nothing left to reduce, [6, 7]
         # over the limit; the merge then joins [0..3] and [4, 5]
         parts, witnesses, depth = refine(P, 2, diam, 5, halve)
-        assert parts == [Progression(0, 1, 6), Progression(6, 1, 2)]
+        assert parts == [(0, 1, 6), (6, 1, 2)]
         assert witnesses == [5, 7]
         assert depth == 2
         # parts that fit, or whose state is None, are never reduced
-        assert calls == [(P, 2), (Progression(4, 1, 4), 1)]
+        assert calls == [((0, 1, 8), 2), ((4, 1, 4), 1)]
         # the merge measures [0..5] and refuses [0..7] unmeasured: the
         # visit already measured that union, P, over the limit
-        visited = [P, Progression(0, 1, 4), Progression(4, 1, 4), Progression(4, 1, 2), Progression(6, 1, 2)]
-        assert measured == visited + [Progression(0, 1, 6)]
+        visited = [(0, 1, 8), (0, 1, 4), (4, 1, 4), (4, 1, 2), (6, 1, 2)]
+        assert measured == visited + [(0, 1, 6)]
 
     @pytest.mark.parametrize("step", [3, -3])
     def test_refine_splits_a_failing_pair_without_reduce(self, step):
@@ -269,27 +272,25 @@ class TestSkeleton:
 
         def halve(state, Q):
             calls.append(Q)
-            h = Q.len // 2
-            return [
-                (Progression(Q.base, Q.step, h), state),
-                (Progression(Q.base + h * Q.step, Q.step, Q.len - h), state),
-            ]
+            base, s, n = Q
+            h = n // 2
+            return [((base, s, h), state), ((base + h * s, s, n - h), state)]
 
         def diam(Q):
-            return Q.len - 1  # only a point fits under limit 0
+            return Q[2] - 1  # only a point fits under limit 0
 
-        points = [Progression(x, step, 1) for x in (10, 10 + step)]
+        points = [(x, step, 1) for x in (10, 10 + step)]
         # a live pair over the limit becomes its two points at level 1
         pair = Progression(10, step, 2)
-        assert refine(pair, "live", diam, 0, halve) == (sorted(points, key=lambda R: R.base), [0, 0], 1)
+        assert refine(pair, "live", diam, 0, halve) == (sorted(points), [0, 0], 1)
         assert calls == []
         # the halves of a failing 4-point part split the same way; only
         # the 4-point part is reduced, and the depth still counts level 2
         P = Progression(10, step, 4)
         parts, witnesses, depth = refine(P, "live", diam, 0, halve)
-        assert parts == [Progression(x, step, 1) for x in sorted(P.elements())]
+        assert parts == [(x, step, 1) for x in sorted(P.elements())]
         assert witnesses == [0] * 4
-        assert (calls, depth) == ([P], 2)
+        assert (calls, depth) == ([(10, step, 4)], 2)
 
     @given(
         base=st.integers(-50, 50),
@@ -301,7 +302,7 @@ class TestSkeleton:
     @settings(max_examples=300, deadline=None)
     def test_refine_measures_each_part_once(self, base, step, length, levels, limit):
         def span(Q):  # a diameter: it only grows with the part
-            vals = [(7 * x * x + x) % 23 for x in Q.elements()]
+            vals = [(7 * x * x + x) % 23 for x in elements(Q)]
             return max(vals) - min(vals)
 
         log, children = [], []
@@ -313,12 +314,12 @@ class TestSkeleton:
         def reduce(state, Q):
             # halves, or the two residue classes mod 2, which change the step
             child = state - 1 or None
-            if state % 2 and Q.len > 2:
-                out = [(R, child) for R in subdivide(Q, 2, Q.len)]
+            base, s, n = Q
+            if state % 2 and n > 2:
+                out = [(R, child) for R in subdivide(Q, 2, n)]
             else:
-                h = Q.len // 2
-                out = [(Progression(Q.base, Q.step, h), child),
-                       (Progression(Q.base + h * Q.step, Q.step, Q.len - h), child)]
+                h = n // 2
+                out = [((base, s, h), child), ((base + h * s, s, n - h), child)]
             children.extend(R for R, _ in out)
             return out
 
@@ -336,19 +337,19 @@ class TestSkeleton:
         # each multi-point part a visit reaches is measured once, every
         # later call is a merge trial from a kept part's base, and nothing
         # is measured after the merge
-        assert Counter(visits) == Counter(Q for Q in [P, *children] if Q.len > 1)
-        assert all(T.len > 1 and T.base in {Q.base for Q in parts} for T in trials)
+        assert Counter(visits) == Counter(Q for Q in [(base, step, length), *children] if Q[2] > 1)
+        assert all(T[2] > 1 and T[0] in {Q[0] for Q in parts} for T in trials)
         # one record of measured parts: no part reaches `diam` twice
-        keys = [(Q.base, Q.step, Q.len) for Q in visits + trials]
+        keys = visits + trials
         assert len(keys) == len(set(keys))
         assert after == []
-        assert witnesses == [span(Q) if Q.len > 1 else 0 for Q in parts]
-        assert sorted(x for Q in parts for x in Q.elements()) == sorted(P.elements())
+        assert witnesses == [span(Q) if Q[2] > 1 else 0 for Q in parts]
+        assert sorted(x for Q in parts for x in elements(Q)) == sorted(P.elements())
 
 
 class TestCertificateType:
     def test_min_len_auto(self):
-        parts = [Progression(1, 1, 3), Progression(4, 1, 2)]
+        parts = [(1, 1, 3), (4, 1, 2)]
         c = PartitionCertificate(
             source=Progression(1, 1, 5), parts=parts, epsilon=0.1, diam_witness=[0, 0]
         )
@@ -364,7 +365,7 @@ class TestCertificateType:
         with pytest.raises(InvalidArgumentError):
             PartitionCertificate(
                 source=Progression(1, 1, 2),
-                parts=[Progression(1, 1, 2)],
+                parts=[(1, 1, 2)],
                 epsilon=0.1,
                 diam_witness=[],
             )
@@ -407,16 +408,16 @@ def _payloads(draw):
 
 @st.composite
 def _certificates(draw):
-    def progression():
+    def triple():
         base, step = draw(_NEAR_BOUNDS), draw(st.integers(-5, 5).filter(bool))
         n = draw(st.integers(1, 5))
         last = base + (n - 1) * step
-        return Progression(base, step, n) if -_BOUND <= last < _BOUND else Progression(base, step, 1)
+        return (base, step, n) if -_BOUND <= last < _BOUND else (base, step, 1)
 
-    parts = [progression() for _ in range(draw(st.integers(1, 6)))]
+    parts = [triple() for _ in range(draw(st.integers(1, 6)))]
     channel, payload = draw(_payloads())
     return PartitionCertificate(
-        source=progression(),
+        source=Progression(*triple()),
         parts=parts,
         epsilon=draw(st.floats(2**-30, 0.5)),
         diam_witness=draw(st.lists(_WITNESSES, min_size=len(parts), max_size=len(parts))),
@@ -437,7 +438,7 @@ class TestCertificateText:
     def test_nonfinite_witness_refused(self, w):
         cert = PartitionCertificate(
             source=Progression(1, 1, 3),
-            parts=[Progression(1, 1, 2), Progression(3, 1, 1)],
+            parts=[(1, 1, 2), (3, 1, 1)],
             epsilon=0.1,
             diam_witness=[w, 0.0],
         )
