@@ -42,7 +42,7 @@ _OWNER = {
         "nil": "LipschitzFunction Nilmanifold PolySequence lipschitz_catalog partition_nilsequence",
         "oracle": "brute_ap_count brute_gowers max_ap_free verify_certificate",
         "polyphase": "PolyPhase partition_polyphase",
-        "progressions": "PartitionCertificate Progression subdivide",
+        "progressions": "PartitionCertificate Progression",
     }.items()
     for name in names.split()
 }

@@ -68,9 +68,7 @@ class DenseSet:
 
     def mask(self):
         """Python int with bit n set iff n is a member."""
-        bits = np.zeros(self.N + 1, dtype=bool)
-        bits[np.array(self.members, dtype=np.int64)] = True
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        return int.from_bytes(_packed(self.members, self.N + 1).tobytes(), "little")
 
     def to_json(self):
         return {"N": self.N, "members": list(self.members)}
@@ -123,6 +121,14 @@ class GroupFunction:
                 "a function needs an integer M and lists re, im of M numbers each"
             )
         return cls(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+
+
+def _packed(members, nbits):
+    """The nbits-bit indicator of the members (all < nbits), bit n at
+    bit n % 8 of byte n // 8: a uint8 array of ceil(nbits/8) bytes."""
+    bits = np.zeros(nbits, dtype=bool)
+    bits[np.fromiter(members, np.int64, len(members))] = True
+    return np.packbits(bits, bitorder="little")
 
 
 def _fields(obj, *keys):
@@ -279,21 +285,69 @@ def _ap_pass(A, k, by_pairs):
     return (_pair_pass if by_pairs else _mask_scan)(A, k)
 
 
+SCAN_BLOCK = 1 << 14  # words ANDed at once by the mask scan
+SCAN_PAD = 16  # zero words past the mask scan's table, so a block of differences stays inside it
+
+
 def _mask_scan(A, k):
-    """`ap_scan` by bitmasks: A is packed once into the int B = A.mask(),
-    and for each d the starts are the bits of B & (B >> d) & .. &
-    (B >> (k-1)d); no window bound is needed as B has no bits above N."""
-    B = A.mask()
-    count, best_d, start, best = 0, 0, 0, 0
-    for d in range(1, (A.N - 1) // (k - 1) + 1):
-        hits = B & (B >> d)
+    """`ap_scan` by word-packed bitmasks.  With B the int whose bit n is
+    set iff n is a member, the starts of the k-APs of difference d are
+    the bits of B & (B >> d) & .. & (B >> (k-1)d); no window bound is
+    needed as B has no bits above N.
+
+    B is packed once into a table of uint64 words with its 64 one-bit
+    shifts, word w of B >> r at flat index 64 w + r.  Word j of B >> s
+    then sits at flat index 64 j + s, so for a block of consecutive
+    differences each B >> (i d) is one strided view (rows d, step i;
+    columns j, step 64), and no per-difference object is built.  The k
+    views of a block are ANDed into one temporary of at most SCAN_BLOCK
+    words (or one row when a row is longer), trimmed to the words that
+    can hold a start n <= N - (k-1) d of the block's smallest d, and
+    their bits counted per row."""
+    N = A.N
+    top = (N - 1) // (k - 1)  # the largest difference with room for a k-AP
+    W = N // 64 + SCAN_PAD + 1  # table rows: the words of bits 0..N, then zeros
+    words = _packed(A.members, 64 * (W + 1)).view("<u8")
+    table = np.empty((W, 64), dtype=np.uint64)
+    shift = np.arange(64, dtype=np.uint64)
+    np.right_shift(words[:-1, None], shift, out=table)
+    for w in range(0, W, SCAN_BLOCK // 64):  # the bits shifted in from the next word, in blocks
+        rows = table[w : w + SCAN_BLOCK // 64, 1:]
+        rows |= words[w + 1 : w + 1 + len(rows), None] << (64 - shift[1:])
+    flat = table.reshape(-1)
+    block = max(SCAN_BLOCK, N // 64 + 1)
+    hits, ones = np.empty(block, dtype=np.uint64), np.empty(block, dtype=np.uint8)
+
+    def shifted(i, d, n, L):
+        # rows d..d+n-1 of B >> (i d), words 0..L-1; the last flat index
+        # read, i (d+n-1) + 64 (L-1) <= N + (k-1)(n-1), is < 64 W, and
+        # ndarray refuses a view past its buffer
+        return np.ndarray((n, L), np.uint64, flat, 8 * i * d, (8 * i, 512))
+
+    count, best_d, best = 0, 0, 0
+    d = 1
+    while d <= top:
+        L = (N - (k - 1) * d) // 64 + 1
+        n = min(top + 1 - d, max(1, block // L), max(1, 64 * SCAN_PAD // (k - 1)))
+        h = hits[: n * L].reshape(L, n).T  # column-major: the inner loop runs over d
+        np.bitwise_and(shifted(0, d, n, L), shifted(1, d, n, L), out=h)
         for i in range(2, k):
-            hits &= B >> (i * d)
-        c = hits.bit_count()
-        count += c
-        if c > best:
-            best, best_d, start = c, d, (hits & -hits).bit_length() - 1  # the lowest set bit
-    return count, best_d, start
+            h &= shifted(i, d, n, L)
+        per_d = np.bitwise_count(h, out=ones[: n * L].reshape(L, n).T).sum(axis=1)
+        count += int(per_d.sum())
+        j = int(per_d.argmax())  # the first maximum: ties go to the smallest d
+        if per_d[j] > best:
+            best, best_d = int(per_d[j]), d + j
+        d += n
+    if not best:
+        return 0, 0, 0
+    L = (N - (k - 1) * best_d) // 64 + 1
+    h = shifted(0, best_d, 1, L)[0].copy()
+    for i in range(1, k):
+        h &= shifted(i, best_d, 1, L)[0]
+    w = int(h.nonzero()[0][0])
+    x = int(h[w])
+    return count, best_d, 64 * w + (x & -x).bit_length() - 1  # the lowest set bit
 
 
 PAIR_BLOCK = 1 << 18  # pairs formed at once by the pair pass

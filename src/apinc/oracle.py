@@ -372,6 +372,11 @@ def verify_certificate(cert):
     for pi, (b, s, n) in enumerate(parts):
         n = min(n, N + 1 - walked)
         walked += n
+        if n == 1:  # one index; a point to refuse is walked below, for the same message
+            q, r = divmod(b - B, S)
+            if not r and 0 <= q < N and not covered[q]:
+                covered[q] = 1
+                continue
         for x in range(b, b + n * s, s):
             q, r = divmod(x - B, S)
             if r or not 0 <= q < N:

@@ -31,6 +31,15 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(apinc, "no_such_name")
 
 
+def test_subdivide_is_not_exported():
+    # subdivide checks a part only against the source it is cut from, so
+    # it is read from apinc.progressions, where the partitions call it
+    with pytest.raises(AttributeError, match="subdivide"):
+        apinc.subdivide  # noqa: B018
+    assert "subdivide" not in apinc.__all__
+    assert callable(apinc.progressions.subdivide)
+
+
 def test_owning_modules_resolve():
     # `import apinc` once imported them all, so `apinc.nil` worked without
     # an import of its own

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +48,29 @@ def numpy_ap_count(A, k, nontrivial=True):
             hits = hits & ind[1 + i * d : N + 1 - (k - 1) * d + i * d]
         count += int(hits.sum())
     return count
+
+
+def bigint_mask_scan(A, k):
+    """Reference: the earlier `_mask_scan`, one Python int per shift.  A
+    is packed into the int B = A.mask(), and for each d the starts are
+    the bits of B & (B >> d) & .. & (B >> (k-1)d)."""
+    B = A.mask()
+    count, best_d, start, best = 0, 0, 0, 0
+    for d in range(1, (A.N - 1) // (k - 1) + 1):
+        hits = B & (B >> d)
+        for i in range(2, k):
+            hits &= B >> (i * d)
+        c = hits.bit_count()
+        count += c
+        if c > best:
+            best, best_d, start = c, d, (hits & -hits).bit_length() - 1  # the lowest set bit
+    return count, best_d, start
+
+
+def digit_set(N):
+    """The members of [1..N] one more than a number whose base-3 digits
+    are all 0 or 1: free of 3-APs, and so of k-APs for every k >= 3."""
+    return DenseSet(N, [n for n in range(1, N + 1) if "2" not in np.base_repr(n - 1, 3)])
 
 
 @st.composite
@@ -298,6 +323,73 @@ class TestApCount:
         A = data.draw(scan_sets(k))
         assume(len(A.members) >= k)
         assert gowers._pair_pass(A, k) == gowers._mask_scan(A, k)
+
+
+class TestMaskScan:
+    """The word-packed `_mask_scan` against the big-int reference, also
+    with blocks and padding small enough that a short window spans
+    several blocks."""
+
+    @given(
+        data=st.data(),
+        k=st.sampled_from([3, 4, 5]),
+        block=st.sampled_from([64, 256, gowers.SCAN_BLOCK]),
+        pad=st.sampled_from([1, gowers.SCAN_PAD]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bigint_scan(self, data, k, block, pad):
+        A = data.draw(scan_sets(k))
+        with mock.patch.multiple(gowers, SCAN_BLOCK=block, SCAN_PAD=pad):
+            assert gowers._mask_scan(A, k) == bigint_mask_scan(A, k)
+
+    @pytest.mark.parametrize("N", [3, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_word_boundaries(self, N, k):
+        rng = np.random.default_rng(N * k)
+        sets = [
+            DenseSet(N, []),
+            DenseSet(N, range(1, N + 1)),
+            digit_set(N),
+            DenseSet(N, np.flatnonzero(rng.random(N) < 0.5) + 1),
+            DenseSet(N, [1, N]),
+        ]
+        for A in sets:
+            for block, pad in ((64, 1), (gowers.SCAN_BLOCK, gowers.SCAN_PAD)):
+                with mock.patch.multiple(gowers, SCAN_BLOCK=block, SCAN_PAD=pad):
+                    assert gowers._mask_scan(A, k) == bigint_mask_scan(A, k)
+        assert gowers._mask_scan(digit_set(N), k) == (0, 0, 0)
+        # [1..N] holds N - (k-1)d progressions of each difference d, the most at d = 1
+        top = (N - 1) // (k - 1)
+        full = sum(N - (k - 1) * d for d in range(1, top + 1))
+        assert gowers._mask_scan(DenseSet(N, range(1, N + 1)), k) == ((full, 1, 1) if top else (0, 0, 0))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_benchmark_sets(self, k):
+        # the first two of roth-random's sets at seeds 0 and 7
+        for seed in (0, 7):
+            rng = np.random.default_rng(seed)
+            for _ in range(2):
+                A = DenseSet(8192, np.flatnonzero(rng.random(8192) < 0.5) + 1)
+                assert gowers._mask_scan(A, k) == bigint_mask_scan(A, k)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_memory_bound(self, k):
+        # README "Budgets": the shift table, 8 bytes per point of N plus
+        # its padding, one block temporary of SCAN_BLOCK words and as many
+        # bytes, and numpy's buffers for two overlapping views; none of it
+        # grows with k
+        rng = np.random.default_rng(0)
+        N = 8192
+        A = DenseSet(N, np.flatnonzero(rng.random(N) < 0.5) + 1)
+        table = 8 * 64 * (N // 64 + gowers.SCAN_PAD + 1)
+        bound = table + 9 * gowers.SCAN_BLOCK + 2 * 8 * np.getbufsize() + 16384
+        tracemalloc.start()
+        try:
+            gowers._mask_scan(A, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < 400_000
 
 
 class TestVonNeumann:

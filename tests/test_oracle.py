@@ -724,6 +724,46 @@ class TestOnePointParts:
         assert ei.value.reason == "witness-mismatch"
 
     @pytest.mark.parametrize(
+        "mutate, reason, message",
+        [
+            (lambda ps: ps.__setitem__(10, dict(ps[10], base=ps[3]["base"])), "parts-not-disjoint",
+             "element 4 appears in parts 3 and 10"),
+            (lambda ps: [ps.__setitem__(i, dict(ps[i], base=b)) for i, b in ((7, 600), (9, 501))],
+             "coverage-excess", "element 501 lies outside the source"),
+            (lambda ps: ps.pop(42), "coverage-gap", "element 43 is not covered by any part"),
+        ],
+        ids=["overlap", "excess", "gap"],
+    )
+    def test_coverage_faults_of_one_point_parts(self, mutate, reason, message):
+        # a one-point part is marked by one index, and a point it cannot
+        # mark is walked as before: the same first part, smallest point
+        cert = _heisenberg_cert()
+        assert [p["base"] for p in cert["parts"]] == list(range(1, 501))
+        mutate(cert["parts"])
+        parts = [oracle._triple(p) for p in cert["parts"]]
+        assert _coverage_reference((1, 1, 500), parts) == (reason, message)
+        with pytest.raises(CertificateError) as ei:
+            verify_certificate(cert)
+        assert (ei.value.reason, str(ei.value)) == (reason, message)
+
+    @pytest.mark.parametrize(
+        "parts, reason, message",
+        [
+            ([(10, 1, 1), (8, 1, 1), (10, 1, 1)], "parts-not-disjoint",
+             "element 10 appears in parts 0 and 2"),
+            ([(10, 1, 1), (9, 1, 1), (12, 1, 1)], "coverage-excess",
+             "element 9 lies outside the source"),
+            ([(10, 1, 1), (6, 1, 1), (2, 1, 1)], "coverage-gap",
+             "element 4 is not covered by any part"),
+        ],
+        ids=["overlap", "off-the-source-step", "gap"],
+    )
+    def test_one_point_parts_on_a_stepped_source(self, parts, reason, message):
+        # the source 10, 8, .., 2: a point off its step leaves a remainder
+        assert _coverage_reference((10, -2, 5), parts) == (reason, message)
+        assert _coverage_outcome(_cover_cert((10, -2, 5), parts)) == (reason, message)
+
+    @pytest.mark.parametrize(
         "channel, payload, diam",
         [
             ("polyphase", {"phase": PolyPhase.monomial([0, "1/2"]).to_json()}, 0.5),
