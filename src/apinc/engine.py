@@ -73,7 +73,7 @@ class Incremented:
 @dataclass(frozen=True)
 class Inconclusive:
     variant = "inconclusive"
-    reason: str  # "length-floor" | "oracle" | "density-full"
+    reason: str  # "length-floor" | "oracle" | "increment-shortfall" | "iteration-cap"
     stage: str = ""
 
     def to_json(self):
@@ -260,16 +260,14 @@ def szemeredi_search(A, k, floor_n0=2, oracle=None):
         rec = {"N": cur.N, "alpha": float(cur.density), "size": len(cur.members)}
         if isinstance(out, APFound):
             p = out.progression
-            mapped = Progression(
+            out = APFound(Progression(
                 orig_base + (p.base - 1) * orig_step, p.step * orig_step, p.len
-            )
+            ))
             trace.add(**rec, outcome="ap-found")
-            trace.terminal = APFound(mapped)
-            return trace.terminal, trace
+            break
         if isinstance(out, Inconclusive):
             trace.add(**rec, outcome=f"inconclusive:{out.reason}")
-            trace.terminal = out
-            return out, trace
+            break
         part = out.part
         trace.add(
             **rec,
@@ -284,8 +282,8 @@ def szemeredi_search(A, k, floor_n0=2, oracle=None):
         cur = out.new_set
         if cur.density >= 1.0 and cur.N < k:
             out = Inconclusive("length-floor", stage="density-full")
-            trace.terminal = out
-            return out, trace
-    out = Inconclusive("iteration-cap", stage="loop")
+            break
+    else:
+        out = Inconclusive("iteration-cap", stage="loop")
     trace.terminal = out
     return out, trace

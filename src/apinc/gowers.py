@@ -17,7 +17,6 @@ AP count of A by  count_with_trivial = Lambda_k(1_A,..,1_A) * M^2
 restricted to the window (each AP and its mirror both counted).
 """
 
-import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,17 +188,16 @@ def _derivative(values, h):
 
 
 def gowers_norm(f, k):
-    """U^k norm on Z_M via the multiplicative-derivative recursion;
-    k = 2 has an FFT fast path agreeing with the recursion to 2^-30."""
+    """U^k norm on Z_M via the multiplicative-derivative recursion, whose
+    k = 2 base is the closed FFT form: the same double as `_u2`."""
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     values = f.values if isinstance(f, GroupFunction) else np.asarray(f, dtype=complex)
     M = len(values)
     if k == 1:
         return float(abs(np.mean(values)))
-    if k == 2:
-        return _u2(np.fft.fft(values) / M)
-    charge(M ** (k + 1), f"U^{k} on Z_{M}")
+    if k >= 3:
+        charge(M ** (k + 1), f"U^{k} on Z_{M}")
 
     def power(vals, j):
         # ||vals||_{U^j}^{2^j}
@@ -247,6 +245,15 @@ def lambda_k_exact(sets_as_indicators, M):
     return _lambda_sum([np.asarray(a, dtype=np.int64) for a in sets_as_indicators], M)
 
 
+# ap_scan memoises its pass on the last (A, k), so that the engine's
+# ap_count(A, k) > 0 then find_ap(A, k) costs one pass.  The engine keeps
+# that ap_count call only because perfbench/test_perfbench.py pins the
+# engine.ap_count wrapper; once a benchmark change re-points that test,
+# the engine can call find_ap alone and this memo can go.  A is keyed by
+# identity, never hashed: a DenseSet is immutable and the slot holds it alive.
+_last_pass = (None, 0, None)  # (A, k, the pass's (count, d, start))
+
+
 def ap_scan(A, k):
     """(count, d, start) for the nontrivial k-APs of A: `count` is their
     number, `d` the first difference with the most of them and `start`
@@ -272,17 +279,10 @@ def ap_scan(A, k):
     charge(min(scan, pairs), f"k-AP {'pair pass' if pairs < scan else 'scan'} of {m} members of [1..{N}]")
     if pairs < scan:
         _check_range(N)  # the pair pass computes in int64
-    return _ap_pass(A, k, pairs < scan)
-
-
-# Memoised on the last (A, k) so that the engine's ap_count(A, k) > 0 then
-# find_ap(A, k) costs one pass.  The engine keeps that ap_count call only
-# because perfbench/test_perfbench.py pins the engine.ap_count wrapper;
-# once a benchmark change re-points that test, the engine can call
-# find_ap alone and this memo can go.
-@functools.lru_cache(maxsize=1)
-def _ap_pass(A, k, by_pairs):
-    return (_pair_pass if by_pairs else _mask_scan)(A, k)
+    global _last_pass
+    if _last_pass[0] is not A or _last_pass[1] != k:
+        _last_pass = A, k, (_pair_pass if pairs < scan else _mask_scan)(A, k)
+    return _last_pass[2]
 
 
 SCAN_BLOCK = 1 << 14  # words ANDed at once by the mask scan

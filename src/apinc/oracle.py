@@ -10,8 +10,8 @@ value and behind `apinc verify`.
 
 A nilsequence point is built from integers too: each coordinate is the
 exact Horner value of its phase over the phase's denominator, reduced to
-the fundamental domain in integers and rounded to float once.  A phase
-is parsed once and cached, and the verifier evaluates nothing on a
+the fundamental domain in integers and rounded to float once.  The
+verifier parses a channel once per certificate and evaluates nothing on a
 one-point part, whose diameter is 0.  numpy is imported only where
 arrays are used, by `brute_gowers` and the nilsequence diameter, so
 verifying a phase certificate never loads it.
@@ -253,9 +253,10 @@ def _nil_value_fn(payload):
 
 
 def _parse_channel(channel_payload, channel):
-    """Parse a serialized channel; returns (diam, steps): diam(ns) is its
-    exhaustive diameter over the points ns, and `steps` the work units
-    of one point, the Horner steps of its highest-degree phase, at least 1.
+    """Parse a serialized channel; returns (diam, steps, pairwise):
+    diam(ns) is its exhaustive diameter over the points ns, `steps` the
+    work units of one point, the Horner steps of its highest-degree
+    phase, at least 1, and `pairwise` whether diam scans every pair.
 
     Polyphase channel: circle metric, exact sorted sweep over integer
     residues.  Nilsequence channel: complex-modulus metric, pairwise scan.
@@ -263,7 +264,7 @@ def _parse_channel(channel_payload, channel):
     if channel == "polyphase":
         D, T = _phase_poly(channel_payload["phase"])
         steps = max(1, len(T) - 1)
-        return lambda ns: Fraction(_circle_sweep(sorted({_horner(T, n) % D for n in ns}), D), D), steps
+        return lambda ns: Fraction(_circle_sweep(sorted({_horner(T, n) % D for n in ns}), D), D), steps, False
     if channel == "nilsequence":
         import numpy as np
 
@@ -276,21 +277,21 @@ def _parse_channel(channel_payload, channel):
                 best = max(best, float(np.max(np.abs(vals[i:] - vals[i]))))
             return best
 
-        return diam, steps
+        return diam, steps, True
     raise InvalidArgumentError(f"unknown channel {channel!r}")
 
 
-def brute_diam(channel_payload, P, channel="polyphase"):
-    """Exhaustive diameter of a serialized channel over a progression.
+def brute_diam(chan, P):
+    """Exhaustive diameter of a parsed channel over a progression.
 
     Charges `P.len` points of `steps` units each (`_parse_channel`) and,
-    on the nilsequence channel, `L(L-1)/2` pairs against the work budget.
+    on a pairwise channel, `L(L-1)/2` pairs against the work budget.
     The points are walked, never listed; the phase channel holds the
     distinct residues, the nilsequence channel the `L` values.
     """
-    diam, steps = _parse_channel(channel_payload, channel)
+    diam, steps, pairwise = chan
     charge(P.len * steps, f"diameter over {P.len} points")
-    if channel == "nilsequence":
+    if pairwise:
         charge(P.len * (P.len - 1) // 2, "pairwise nilsequence diameter")
     return diam(range(P.base, P.base + P.len * P.step, P.step))
 
@@ -330,8 +331,8 @@ def verify_certificate(cert):
 
     Checks disjointness, exact coverage of the source, the minimum part
     length, and recomputes every diameter witness with the independent
-    channel evaluator, after charging the source's points as `brute_diam`
-    does and a nilsequence certificate's pairwise scans (L(L-1)/2 per
+    channel evaluator, parsed once, after charging the source's points
+    as `brute_diam` does and a pairwise channel's scans (L(L-1)/2 per
     part of length L) against the work budget.  The source and the parts
     are read as integer triples (base, step, len); only a multi-point
     part becomes a `Progression`, for `brute_diam`.  A one-point part's
@@ -356,7 +357,7 @@ def verify_certificate(cert):
         if type(min_len) is not int:
             raise InvalidArgumentError(f"min_len must be an integer, got {min_len!r}")
         channel, payload = cert.get("channel", "polyphase"), cert["payload"]
-        diam, steps = _parse_channel(payload, channel)
+        chan = diam, steps, pairwise = _parse_channel(payload, channel)
         diam([B])  # one value evaluated
     except (
         InvalidArgumentError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError
@@ -401,13 +402,13 @@ def verify_certificate(cert):
         if n < min_len:
             raise CertificateError("min-len-violated", f"part {pi} has length {n} < {min_len}")
 
-    if channel == "nilsequence":  # brute_diam scans every pair of a part
+    if pairwise:  # brute_diam scans every pair of a part
         charge(sum(n * (n - 1) // 2 for _, _, n in parts), "pairwise nilsequence diameters")
 
     witnesses = []
     for pi, ((b, s, n), w) in enumerate(zip(parts, stored)):
         # a one-point part has diameter 0: its witness is still compared
-        d = float(brute_diam(payload, Progression(b, s, n), channel=channel)) if n > 1 else 0.0
+        d = float(brute_diam(chan, Progression(b, s, n))) if n > 1 else 0.0
         if d > eps + VERIFY_TOL:
             raise CertificateError(
                 "diam-exceeds-epsilon",

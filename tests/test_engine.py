@@ -163,11 +163,15 @@ class TestStep:
         assert isinstance(out, APFound)
 
     def test_ap_found_with_one_scan(self):
-        # ap_count then find_ap on the same set: the pass runs once
+        # ap_count then find_ap on the same set: the pass runs once, and
+        # the memo keys on the set's identity, so no DenseSet is hashed
+        # (hashing one walks its whole member tuple)
         A = random_sets(3, 1, 512)[0]
-        gowers._ap_pass.cache_clear()
-        out = density_increment_step(A, 3)
-        assert gowers._ap_pass.cache_info().misses == 1
+        hashes, real = [], DenseSet.__hash__
+        with mock.patch.object(DenseSet, "__hash__", lambda self: hashes.append(1) or real(self)), \
+                mock.patch.object(gowers, "_mask_scan", wraps=gowers._mask_scan) as scan:
+            out = density_increment_step(A, 3)
+        assert scan.call_count == 1 and hashes == []
         assert out == APFound(numpy_find_ap(A, 3))
 
     def test_small_k_rejected(self):
@@ -302,7 +306,7 @@ def test_benchmark_inputs_keep_their_ap_pass():
     # roth-digit's seed-0 set is sparse enough for the member-pair pass;
     # a roth-random set (density 1/2 in [1..8192]) takes the bitmask scan
     def pass_taken(A):
-        gowers._ap_pass.cache_clear()
+        # A is a new set, so the memo, keyed on the last set's identity, misses
         with mock.patch.object(gowers, "_pair_pass", wraps=gowers._pair_pass) as pairs, \
                 mock.patch.object(gowers, "_mask_scan", wraps=gowers._mask_scan) as scan:
             ap_count(A, 3)

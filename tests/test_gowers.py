@@ -208,6 +208,17 @@ class TestGowersNorm:
         g = GroupFunction(f.values * GroupFunction.character(M, 3).values)
         assert abs(gowers_norm(f, 2) - gowers_norm(g, 2)) < 1e-9
 
+    def test_u2_is_the_closed_form_bit_for_bit(self, monkeypatch):
+        # the recursion's k = 2 base is the FFT sum _u2 reads, on complex
+        # and on integer-valued inputs alike, and charges no M^3 work
+        monkeypatch.setenv("APINC_BUDGET", "1")
+        rng = np.random.default_rng(30)
+        for M in range(1, 301):
+            z = rng.normal(size=M) + 1j * rng.normal(size=M)
+            for values in z, np.round(3 * z), np.round(z.real):
+                f = GroupFunction(values)
+                assert gowers_norm(f, 2) == gowers._u2(np.fft.fft(f.values) / M), (M, values)
+
 
 class TestLambda:
     def test_constant(self):

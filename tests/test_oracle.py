@@ -17,6 +17,7 @@ from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, partition_ni
 from apinc.oracle import (
     VERIFY_TOL,
     _nil_value_fn,
+    _parse_channel,
     brute_ap_count,
     brute_diam,
     brute_gowers,
@@ -374,7 +375,7 @@ class TestBruteDiamChannels:
         payload = {"phase": PolyPhase.monomial([0, "1/4"]).to_json()}
         from fractions import Fraction
 
-        assert brute_diam(payload, Progression(1, 1, 2)) == Fraction(1, 4)
+        assert brute_diam(_parse_channel(payload, "polyphase"), Progression(1, 1, 2)) == Fraction(1, 4)
 
     def test_nil_torus_constant_function(self):
         payload = {
@@ -382,7 +383,7 @@ class TestBruteDiamChannels:
             "sequence": {"coords": [PolyPhase.monomial([0, "1/3"]).to_json()]},
             "function": {"prefactor_re": 1.0, "prefactor_im": 0.0, "factors": []},
         }
-        assert brute_diam(payload, Progression(1, 1, 30), channel="nilsequence") == 0.0
+        assert brute_diam(_parse_channel(payload, "nilsequence"), Progression(1, 1, 30)) == 0.0
 
     def test_nil_torus_character(self):
         payload = {
@@ -395,7 +396,7 @@ class TestBruteDiamChannels:
             },
         }
         # values alternate between -1 and 1
-        d = brute_diam(payload, Progression(1, 1, 10), channel="nilsequence")
+        d = brute_diam(_parse_channel(payload, "nilsequence"), Progression(1, 1, 10))
         assert abs(d - 2.0) < 1e-12
 
 
@@ -431,7 +432,8 @@ def test_brute_diam_sweep_matches_pairwise():
             terms = [lambda n, j=j: Fraction(math.prod(n - i for i in range(j)), math.factorial(j))
                      for j in range(deg + 1)]
         vals = [sum(Fraction(c) * t(n) for c, t in zip(coeffs, terms)) for n in P.elements()]
-        assert brute_diam({"phase": phi.to_json()}, P) == _pairwise_circle_diam(vals), (L, basis, coeffs)
+        chan = _parse_channel({"phase": phi.to_json()}, "polyphase")
+        assert brute_diam(chan, P) == _pairwise_circle_diam(vals), (L, basis, coeffs)
 
 
 # ---------------------------------------------------------------------
@@ -542,7 +544,7 @@ def test_brute_diam_negative_step_nil_pinned():
         ]},
     }
     P = Progression(700, -3, 40)
-    d = brute_diam(payload, P, channel="nilsequence")
+    d = brute_diam(_parse_channel(payload, "nilsequence"), P)
     assert d == 1.10077100053851
     vals = [_reference_value(payload, n) for n in P.elements()]
     assert abs(d - max(abs(a - b) for a in vals for b in vals)) < 1e-15
@@ -596,35 +598,35 @@ class TestBruteDiamBudget:
         payload = {"phase": PolyPhase.monomial([0, "1/4"]).to_json()}
         P = Progression(1, 1, 1000)
         monkeypatch.setenv("APINC_BUDGET", "1000")
-        assert brute_diam(payload, P) == Fraction(1, 2)
+        assert brute_diam(_parse_channel(payload, "polyphase"), P) == Fraction(1, 2)
         monkeypatch.setenv("APINC_BUDGET", "999")
         with pytest.raises(BudgetExceededError):
-            brute_diam(payload, P)
+            brute_diam(_parse_channel(payload, "polyphase"), P)
 
     def test_points_charged_by_degree(self, monkeypatch):
         # a degree-3 phase: 3 Horner steps a point, after an expansion of 4^3
         payload = {"phase": PolyPhase.binomial([0, "1/4", "1/8", "1/16"]).to_json()}
         P = Progression(1, 1, 100)
         monkeypatch.setenv("APINC_BUDGET", "300")
-        assert brute_diam(payload, P) > 0
+        assert brute_diam(_parse_channel(payload, "polyphase"), P) > 0
         assert verify_certificate(_one_part_cert("polyphase", payload, P, 0.5, 0.5))["ok"]
         monkeypatch.setenv("APINC_BUDGET", "299")
         with pytest.raises(BudgetExceededError):
-            brute_diam(payload, P)
+            brute_diam(_parse_channel(payload, "polyphase"), P)
         with pytest.raises(BudgetExceededError):
             verify_certificate(_one_part_cert("polyphase", payload, P, 0.5, 0.5))
         monkeypatch.setenv("APINC_BUDGET", "63")
         with pytest.raises(BudgetExceededError, match="expansion"):
-            brute_diam(payload, Progression(1, 1, 1))
+            brute_diam(_parse_channel(payload, "polyphase"), Progression(1, 1, 1))
 
     def test_nil_pairs_charged(self, monkeypatch):
         payload = _torus1(PolyPhase.monomial([0, "1/2"]), _E_X)
         P = Progression(1, 1, 100)
         monkeypatch.setenv("APINC_BUDGET", "4950")
-        assert brute_diam(payload, P, channel="nilsequence") == 2.0
+        assert brute_diam(_parse_channel(payload, "nilsequence"), P) == 2.0
         monkeypatch.setenv("APINC_BUDGET", "4949")
         with pytest.raises(BudgetExceededError):
-            brute_diam(payload, P, channel="nilsequence")
+            brute_diam(_parse_channel(payload, "nilsequence"), P)
 
 
 def _heisenberg_cert(N=500):
@@ -680,9 +682,9 @@ class TestOnePointParts:
         calls = []
         real = oracle.brute_diam
 
-        def spy(payload, P, channel="polyphase"):
+        def spy(chan, P):
             calls.append(P)
-            return real(payload, P, channel=channel)
+            return real(chan, P)
 
         monkeypatch.setattr(oracle, "brute_diam", spy)
         return calls
@@ -780,3 +782,32 @@ class TestOnePointParts:
         with pytest.raises(CertificateError) as ei:
             verify_certificate(_one_part_cert(channel, payload, P, 0.0, diam))
         assert ei.value.reason == "witness-mismatch"
+
+
+class TestOneParsePerCertificate:
+    """verify_certificate parses its channel once and hands that parse to
+    every multi-point part: no phase is validated or charged per part."""
+
+    def _count(self, monkeypatch, name):
+        calls, real = [], getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_heisenberg(self, monkeypatch):
+        g = PolySequence(
+            [PolyPhase.monomial([0, math.sqrt(2)]), PolyPhase.monomial([0, math.sqrt(3)]), PolyPhase.zero()]
+        )
+        cert = partition_nilsequence(
+            Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), Progression(1, 1, 500), 0.5
+        ).to_json()
+        assert (len(cert["parts"]), sum(p["len"] > 1 for p in cert["parts"])) == (384, 116)
+        nil, phases = self._count(monkeypatch, "_nil_value_fn"), self._count(monkeypatch, "_phase_poly")
+        assert verify_certificate(cert)["ok"]
+        assert (len(nil), len(phases)) == (1, 3)
+
+    def test_criterion_5_phase(self, monkeypatch):
+        phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
+        cert = partition_polyphase(phi, Progression(1, 1, 20000), 0.05).to_json()
+        phases = self._count(monkeypatch, "_phase_poly")
+        assert verify_certificate(cert)["ok"]
+        assert len(phases) == 1

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apinc.errors import BudgetExceededError, InvalidArgumentError, PreconditionError
-from apinc.oracle import _horner, _phase_poly, brute_diam, verify_certificate
+from apinc.oracle import _horner, _parse_channel, _phase_poly, brute_diam, verify_certificate
 from apinc.polyphase import (
     BUDGET_WEIGHT,
     PolyPhase,
@@ -513,7 +513,8 @@ def test_partitions_build_a_progression_only_at_the_boundary(monkeypatch):
 def test_oracle_brute_diam_agrees():
     phi = PolyPhase.binomial([0, Fraction(2, 7), Fraction(3, 11)])
     P = Progression(3, 2, 60)
-    assert brute_diam({"phase": phi.to_json()}, P) == brute_diam_phase(phi, (3, 2, 60))
+    chan = _parse_channel({"phase": phi.to_json()}, "polyphase")
+    assert brute_diam(chan, P) == brute_diam_phase(phi, (3, 2, 60))
 
 
 # ---------------------------------------------------------------------
