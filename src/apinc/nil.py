@@ -52,6 +52,9 @@ from .polyphase import PolyPhase, lift
 from .progressions import PartitionCertificate, Progression, check_budget, index_slice, refine, repair
 
 TWO_PI = 2.0 * math.pi
+# how far float rounding may lift a nilsequence witness above eps: the
+# partition asserts every witness is within it, and measures up to it
+WITNESS_SLACK = 2**-35
 
 
 # ---------------------------------------------------------------------
@@ -293,14 +296,21 @@ def convex_hull(vals):
     return np.array([complex(x, y) for x, y in chain(pts) + chain(pts[::-1])[1:-1]])
 
 
-def complex_diam(vals):
-    """Exhaustive diameter of a complex point set (pairwise sup)."""
+def complex_diam(vals, limit):
+    """Exhaustive diameter of a complex point set (pairwise sup), exact
+    when it is at most `limit`, and otherwise some pairwise distance
+    above `limit` (pass math.inf for the exact value)."""
     vals = np.asarray(vals)
     if len(vals) > 1200:  # the diameter is attained on the convex hull
+        reach = float(np.max(np.abs(vals - vals[0])))
+        if reach > limit:  # a set that fails by its first point's reach builds no hull
+            return reach
         vals = convex_hull(vals)
     best = 0.0
     for i in range(len(vals) - 1):
         best = max(best, float(np.max(np.abs(vals[i + 1 :] - vals[i]))))
+        if best > limit:
+            break
     return best
 
 
@@ -397,7 +407,9 @@ def partition_nilsequence(Mf, g, F, P, eps):
     vals = nil_values(Mf, g, F, P)
 
     def diam(Q):
-        return complex_diam(vals[index_slice(P, Q)])
+        # exact up to the slack the witness check allows, so a None-state
+        # part kept a float rounding above eps still records its diameter
+        return complex_diam(vals[index_slice(P, Q)], eps_val + WITNESS_SLACK)
 
     def reduce(build, Q):  # a state builds its nilsequence, only for a part reduced
         # the module global, read at call time: a tracer's wrapper sees the call
@@ -405,7 +417,7 @@ def partition_nilsequence(Mf, g, F, P, eps):
 
     # a function with no factors is constant: refine keeps P at diameter 0
     parts, witnesses, max_depth = refine(P, lambda: (Mf, g, F), diam, eps_val, reduce)
-    assert all(w <= eps_val + 2**-35 for w in witnesses)
+    assert all(w <= eps_val + WITNESS_SLACK for w in witnesses)
     return PartitionCertificate(
         source=P,
         parts=parts,

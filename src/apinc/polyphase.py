@@ -124,13 +124,31 @@ def _values(num, base, step, length, den=0):
     return [v % den for v in vals] if den else vals
 
 
-def _diam_num(res, den):
-    """Numerator over den of the circle diameter of residues in [0, den).
+def _diam_num(res, den, limit):
+    """Numerator over den of the circle diameter of residues in [0, den),
+    exact when it is at most `limit`, and otherwise some circle distance
+    between two of them above `limit` (pass den for the exact value).
 
-    Sorted antipode scan: the farthest point from v is a neighbour of
-    its antipode v + den/2 in circular order, and the antipode only
-    moves forward as v does, so one pointer sweep finds them all.
+    When 4 * limit <= den, one pass over the signed offsets from the
+    first residue: the first offset past `limit` is returned, and if
+    none is, every point lies on an arc of at most half the circle, on
+    which the diameter is the offsets' range.  Otherwise a sorted
+    antipode scan: the farthest point from v is a neighbour of its
+    antipode v + den/2 in circular order, and the antipode only moves
+    forward as v does, so one pointer sweep finds them all.
     """
+    if 4 * limit <= den:
+        half = den // 2
+        shift, lo, hi = half - res[0], 0, 0
+        for r in res:
+            u = (r + shift) % den - half  # in [-den/2, den/2): the distance from res[0] is |u|
+            if not -limit <= u <= limit:
+                return abs(u)
+            if u > hi:
+                hi = u
+            elif u < lo:
+                lo = u
+        return hi - lo
     u = sorted(set(res))
     if len(u) < 2:
         return 0
@@ -334,12 +352,12 @@ def circle_diam(values):
     """Exact supremum of pairwise circle distances of rationals mod 1
     (sorted antipode scan over common-denominator residues)."""
     den, num = _common(list(values))
-    return Fraction(_diam_num([p % den for p in num], den), den)
+    return Fraction(_diam_num([p % den for p in num], den, den), den)
 
 
 def diam_on(phi, P):
     """Exhaustive diameter of the phase over the elements of P."""
-    d = Fraction(_diam_num(phi.residues(P), phi.den), phi.den)
+    d = Fraction(_diam_num(phi.residues(P), phi.den, phi.den), phi.den)
     return d if phi.exact else float(d)
 
 
@@ -356,7 +374,9 @@ def _local_monomial(phi, Q):
 def _within(num, den, length, bound):
     """Whether the phase num / den has circle diameter at most the
     Fraction bound on [0, length)."""
-    return _diam_num(_values(num, 0, 1, length, den), den) * bound.denominator <= bound.numerator * den
+    # an integer numerator w over den is at most the bound exactly when w <= limit
+    limit = bound.numerator * den // bound.denominator
+    return _diam_num(_values(num, 0, 1, length, den), den, limit) <= limit
 
 
 def companion(phi, R):
@@ -488,7 +508,7 @@ def partition_polyphase(phi, P, eps):
         res = phi.residues(P)
 
         def diam_num(Q):
-            return _diam_num(res[index_slice(P, Q)], den)
+            return _diam_num(res[index_slice(P, Q)], den, limit)
 
     def reduce(build, Q):  # a state builds its phase, only for a part reduced
         phase = build()

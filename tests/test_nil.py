@@ -236,10 +236,24 @@ class TestLipschitzFunctions:
         assert np.array_equal(read_back(Mf, g, F, P), nil_values(Mf, g, F, P))
 
 
+def pairwise_diam(vals):
+    """The largest |a - b| over all pairs, with no hull and no early exit."""
+    return max(float(np.max(np.abs(vals - a))) for a in vals)
+
+
+def assert_limit_aware(got, exact, limit):
+    """A diameter exact when it is at most `limit`, and otherwise in
+    (limit, exact]: a distance between two of the points."""
+    if exact <= limit:
+        assert got == exact
+    else:
+        assert limit < got <= exact
+
+
 class TestComplexDiam:
     def test_small_exact(self):
-        assert complex_diam([1, -1]) == 2.0
-        assert complex_diam([1 + 0j]) == 0.0
+        assert complex_diam([1, -1], math.inf) == 2.0
+        assert complex_diam([1 + 0j], math.inf) == 0.0
 
     def test_hull_path_matches_pairwise(self):
         rng = np.random.default_rng(5)
@@ -247,7 +261,7 @@ class TestComplexDiam:
         brute = max(
             abs(a - b) for a in vals[::97] for b in vals[::97]
         )  # subsample lower bound
-        d = complex_diam(vals)
+        d = complex_diam(vals, math.inf)
         full = 0.0
         for i in range(0, len(vals), 1):
             full = max(full, float(np.max(np.abs(vals[i:] - vals[i]))))
@@ -256,7 +270,7 @@ class TestComplexDiam:
 
     def test_collinear_cloud(self):
         vals = np.linspace(-3, 7, 2000) * (1 + 1j) / math.sqrt(2)
-        assert abs(complex_diam(vals) - 10.0) < 1e-9
+        assert abs(complex_diam(vals, math.inf) - 10.0) < 1e-9
 
     @given(
         pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=40),
@@ -274,6 +288,44 @@ class TestComplexDiam:
         hull = convex_hull(vals)
         assert set(hull) <= set(vals)
         assert max(abs(a - b) for a in hull for b in hull) == pairwise
+
+    @pytest.mark.parametrize("n", [2, 40, 1201, 2000])
+    def test_limit_below_and_above_the_diameter(self, n):
+        # the pairs, and past 1200 the first point's reach, then the hull
+        # and its pairs, each stop at the first distance above the limit
+        rng = np.random.default_rng(n)
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        exact = pairwise_diam(vals)
+        reach = float(np.max(np.abs(vals - vals[0])))
+        assert reach < exact or n == 2
+        for limit in (0.0, reach / 2, reach, np.nextafter(exact, 0), exact, math.inf):
+            assert_limit_aware(complex_diam(vals, limit), exact, limit)
+
+    @given(
+        pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=30),
+        limit=st.one_of(st.floats(0, 12), st.just("reach")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_up_to_the_limit(self, pts, limit):
+        # a limit anywhere, or equal to the first point's reach: the
+        # largest distance the first pass of pairs sees
+        vals = np.array([complex(x, y) for x, y in pts])
+        if limit == "reach":
+            limit = float(np.max(np.abs(vals - vals[0])))
+        assert_limit_aware(complex_diam(vals, limit), pairwise_diam(vals), limit)
+
+    def test_heisenberg_builds_no_hull(self, monkeypatch):
+        # the root of Heisenberg 1..5000 is over eps by its first point's
+        # reach, so it builds no convex hull (it built one, of 5000 points)
+        hulls = []
+        monkeypatch.setattr(nil, "convex_hull", lambda vals: hulls.append(len(vals)) or convex_hull(vals))
+        g = PolySequence(
+            [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()]
+        )
+        P = Progression(1, 1, 5000)
+        cert = partition_nilsequence(Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), P, 0.1)
+        assert cert.num_parts == 5000
+        assert hulls == []
 
 
 class TestReduceDimension:
@@ -420,8 +472,8 @@ class TestPartitionNilsequence:
         vals = nil_values(Mf, g, F, Progression(1, 1, 144))
         for p, w in zip(cert.parts, cert.diam_witness):
             pv = [vals[n - 1] for n in elements(p)]
-            assert complex_diam(pv) <= 0.2 + 1e-9
-            assert abs(complex_diam(pv) - w) < 1e-9
+            assert complex_diam(pv, math.inf) <= 0.2 + 1e-9
+            assert abs(complex_diam(pv, math.inf) - w) < 1e-9
 
     def test_heisenberg_small(self):
         Mf = Nilmanifold.heisenberg()
@@ -520,7 +572,8 @@ class TestPartitionNilsequence:
         assert verify_certificate(cert)["ok"]
         assert any(n > 1 and step < 0 for _, step, n in cert.parts)
         for p, w in zip(cert.parts, cert.diam_witness):
-            assert w == (complex_diam(nil_values(Mf, g, F, Progression(*p))) if p[2] > 1 else 0.0)
+            vals = nil_values(Mf, g, F, Progression(*p))
+            assert w == (complex_diam(vals, math.inf) if p[2] > 1 else 0.0)
 
     def test_budget(self, monkeypatch):
         # torus:1, a linear coordinate, 100 points: 100 * (1 + 2)^2 work units

@@ -12,6 +12,8 @@ from apinc.polyphase import (
     PolyPhase,
     _diam_num,
     _linear_diameters,
+    _values,
+    _within,
     circle_diam,
     diam_on,
     partition_polyphase,
@@ -456,9 +458,9 @@ def test_criterion_5_input_reduces_once(monkeypatch):
         tails.append((tuple(num), den, length, bound))
         return within(num, den, length, bound)
 
-    def spy_diam_num(res, den):
+    def spy_diam_num(res, den, limit):
         diams.append(len(res))
-        return diam_num(res, den)
+        return diam_num(res, den, limit)
 
     def spy_local_monomial(phi, Q):
         expansions.append(Q)
@@ -547,6 +549,13 @@ def ref_diam(vals):
         (min(abs(a - b), 1 - abs(a - b)) for a in vals for b in vals),
         default=Fraction(0),
     )
+
+
+def ref_diam_num(res, den):
+    """Pairwise circle diameter, a numerator over den, of integer residues."""
+    u = list({r % den for r in res})
+    dists = ((b - a) % den for i, a in enumerate(u) for b in u[i + 1 :])
+    return max((min(d, den - d) for d in dists), default=0)
 
 
 huge_rationals = st.builds(
@@ -679,6 +688,91 @@ class TestLinearDiameters:
         limit = eps.numerator * phi.den // eps.denominator
         diam_num = _linear_diameters(phi, limit)
         for Q in parts:
-            got, exact = diam_num(Q), _diam_num(phi.residues(Progression(*Q)), phi.den)
+            got, exact = diam_num(Q), ref_diam_num(phi.residues(Progression(*Q)), phi.den)
             if got <= limit or exact <= limit:
                 assert got == exact
+
+
+# ---------------------------------------------------------------------
+# Limit-aware diameters: exact up to the limit, a real distance above it
+
+
+def assert_limit_aware(got, exact, limit):
+    """A diameter exact when it is at most `limit`, and otherwise in
+    (limit, exact]: a distance between two of the points."""
+    if exact <= limit:
+        assert got == exact
+    else:
+        assert limit < got <= exact
+
+
+DENS = [1, 2, 3, 101, 2**52, 10**30 + 57]
+
+
+@st.composite
+def residue_sets(draw):
+    """Residues mod den on an arc around a centre, wrapping past 0 as
+    they may, with a limit anywhere in [0, den] or at the edges of the
+    one-pass rule 4 * limit <= den."""
+    den = draw(st.sampled_from(DENS))
+    centre, spread = draw(st.integers(0, den - 1)), draw(st.integers(0, den // 2))
+    offsets = draw(st.lists(st.integers(-spread, spread), min_size=1, max_size=12))
+    res = [(centre + t) % den for t in offsets]
+    limit = draw(st.one_of(st.sampled_from([0, den // 4, den // 4 + 1, den]), st.integers(0, den)))
+    return res, den, limit
+
+
+class TestBoundedDiameter:
+    @pytest.mark.parametrize("den", DENS)
+    @pytest.mark.parametrize("edge", ["zero", "quarter", "past-quarter"])
+    @pytest.mark.parametrize("case", ["one", "duplicates", "antipodal", "quarter-apart"])
+    def test_edges(self, den, edge, case):
+        # both sides of 4 * limit <= den; an exactly antipodal pair exists
+        # only for an even den (den // 2 apart otherwise)
+        limit = {"zero": 0, "quarter": den // 4, "past-quarter": den // 4 + 1}[edge]
+        r = den // 3
+        res = {
+            "one": [r],
+            "duplicates": [r, r, (r + 1) % den, r],
+            "antipodal": [r, (r + den // 2) % den],
+            "quarter-apart": [r, (r + den // 4) % den, (r - den // 4) % den],
+        }[case]
+        assert_limit_aware(_diam_num(res, den, limit), ref_diam_num(res, den), limit)
+
+    @given(case=residue_sets())
+    @settings(max_examples=500, deadline=None)
+    def test_exact_up_to_the_limit(self, case):
+        res, den, limit = case
+        assert_limit_aware(_diam_num(res, den, limit), ref_diam_num(res, den), limit)
+
+    @given(
+        num=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=4),
+        den=st.sampled_from(DENS),
+        length=st.integers(2, 40),
+        theta=st.one_of(
+            st.just(Fraction(1, 2)),
+            st.fractions(Fraction(1, 10**9), Fraction(1, 4), max_denominator=10**9),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_within_matches_the_fraction_comparison(self, num, den, length, theta):
+        # theta = 1/2 takes the antipode sweep, theta <= 1/4 the one pass;
+        # the integer limit decides as the Fraction bound did
+        w = ref_diam_num(_values(num, 0, 1, length, den), den)
+        assert _within(num, den, length, theta) == (w * theta.denominator <= theta.numerator * den)
+
+
+def test_criterion_5_build_sorts_nothing(monkeypatch):
+    # every part of criterion 5 is measured against eps = 0.05 <= 1/4, so
+    # each takes the one-pass diameter and nothing is sorted (each of the
+    # 19940 diameters sorted its residues when the kernel had no limit)
+    import apinc.polyphase as polyphase
+
+    sorts = []
+    monkeypatch.setattr(
+        polyphase, "sorted", lambda xs: sorts.append(len(xs)) or sorted(xs), raising=False
+    )
+    phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
+    cert = partition_polyphase(phi, Progression(1, 1, 20000), 0.05)
+    assert cert.num_parts == 18733
+    assert sorts == []
