@@ -523,6 +523,14 @@ class TestPartitionAndVerify:
                  "--fn", "e(x)*cutoff", "--range", "1..5000", "--eps", "0.1"],
                 "ae156439ed8500244eebe1bca2397275bef9c96912611f9d5cfe102924e3c1e7",
             ),
+            # every pivot part at eps 0.1 is a point; at eps 0.5 the
+            # recursion reaches its second level
+            (
+                ["partition-nil", "--manifold", "heisenberg",
+                 "--seq", "1.4142135623730951 n; 1.7320508075688772 n; 0",
+                 "--fn", "e(x)*cutoff", "--range", "1..5000", "--eps", "0.5"],
+                "053177d86918fa2eab2dae7f98b72dacc0e46fdbeac3bb4ff29bf13d2a7470a3",
+            ),
             (
                 ["partition-nil", "--manifold", "torus:2",
                  "--seq", "1/7 n + 3/11 C(n,2); 0.3183098861837907 n",
@@ -536,7 +544,8 @@ class TestPartitionAndVerify:
                 "954bf7023b3c68b70f6b72e6c5f9195c20ec4162c4b8d464d194d1dd7344a920",
             ),
         ],
-        ids=["phase-2000", "heisenberg-500", "heisenberg-5000", "torus2-3000", "phase-cubic-4000"],
+        ids=["phase-2000", "heisenberg-500", "heisenberg-5000", "heisenberg-5000-eps05", "torus2-3000",
+             "phase-cubic-4000"],
     )
     def test_golden_digest(self, tmp_path, capsys, argv, digest):
         path = tmp_path / "cert.json"
