@@ -26,12 +26,12 @@ at a group element equals the value at its reduced representative.
 The dimension-reduction step exploits exactly this product structure:
 partition P so the pivot coordinate's phase is nearly constant, freeze
 the pivot factors at their value on each part, and recurse on the
-remaining coordinates — a manifold of strictly smaller dimension.
-`reduce_dimension` is one such level, and it keeps the phase channel's
-contract (`polyphase.reduce_degree_partition`): it returns the
-(part, next state) pairs that `progressions.refine` consumes.  Every
-claimed deviation and every certificate diameter is re-checked
-exhaustively.
+remaining factors — a function of strictly fewer coordinates, read at
+the same points of the same manifold.  `reduce_dimension` is one such
+level, and it keeps the phase channel's contract
+(`polyphase.reduce_degree_partition`): it returns the (part, next
+state) pairs that `progressions.refine` consumes.  Every claimed
+deviation and every certificate diameter is re-checked exhaustively.
 """
 
 import cmath
@@ -189,16 +189,15 @@ class LipschitzFunction:
         return val
 
     def freeze(self, coord, u):
-        """Fold the factors on `coord` into the prefactor at value u and
-        shift the higher coordinate indices down by one."""
+        """Fold the factors on `coord` into the prefactor at value u; the
+        other factors keep their coordinates."""
         pref = complex(self.prefactor)
         kept = []
         for f in self.factors:
             if f.coord == coord:
                 pref *= f.value(u)
             else:
-                c = f.coord - 1 if f.coord > coord else f.coord
-                kept.append(Factor(c, f.kind, f.k, f.shift))
+                kept.append(f)
         # folding 1-bounded factors cannot push |pref| above 1; guard fp fuzz
         if abs(pref) > 1:
             pref /= abs(pref) * (1 + 2**-50)
@@ -321,10 +320,12 @@ def complex_diam(vals, limit):
 def reduce_dimension(Mf, g, F, P, eps):
     """One dimension level of the nilsequence partition: [(R, state)] in
     base order, the parts R of P each paired with a zero-argument builder
-    of (succ, h, F_R), a nilsequence on a manifold of one smaller
-    dimension agreeing with F(g(n)Gamma) on R to within eps; state is
-    None when that nilsequence has no coordinate left to freeze.  A
-    function with no factors has nothing to reduce: [(P, None)].
+    of F_R, a function of one coordinate fewer whose nilsequence
+    F_R(g(n)Gamma) agrees with F(g(n)Gamma) on R to within eps; state is
+    None when F_R has no factor left to freeze.  A function with no
+    factors has nothing to reduce: [(P, None)].  Every level reads the
+    same manifold and sequence: the caller checked (Mf, g, F) at the
+    root, and a frozen function uses a subset of F's coordinates.
 
     Pivot on the first coordinate F uses; partition P so the pivot
     coordinate phase moves by at most eps / L_pivot, then freeze the
@@ -333,10 +334,9 @@ def reduce_dimension(Mf, g, F, P, eps):
     periodic per-coordinate factors, the deviation bound
     |F - F_frozen| <= L_pivot * coordinate-distance is exact; it is still
     re-checked exhaustively, with halving repair.  Whether a state is
-    None is the same for every part: the successor manifold and F's
-    factors off the pivot do not depend on the part.
+    None is the same for every part: F's factors off the pivot do not
+    depend on the part.
     """
-    _check_compat(Mf, g, F)
     eps_f = lift(eps)
     if not 0 < eps_f <= Fraction(1, 2):
         raise PreconditionError("eps must lie in (0, 1/2]")
@@ -344,9 +344,6 @@ def reduce_dimension(Mf, g, F, P, eps):
     if not F.factors:  # the only functions on a 0-dimensional manifold
         return [(P, None)]
 
-    # a torus loses the pivot coordinate; the Heisenberg quotient
-    # (dim 3) leaves the 2-torus of its other two coordinates
-    succ = Nilmanifold.torus(Mf.dim - 1)
     pivot = F.factors[0].coord
     Lp = F.coord_lipschitz(pivot)
     target = min(eps_f / lift(Lp), Fraction(1, 2))
@@ -355,25 +352,18 @@ def reduce_dimension(Mf, g, F, P, eps):
     # use, and a name bound while a tracer had patched polyphase would
     # keep the wrapper after the module is restored (engine does the same)
     cert = polyphase.partition_polyphase(pivot_phase, Progression(*P), target)
-    h = PolySequence([c for i, c in enumerate(g.coords) if i != pivot])
 
     def frozen(R):
         return F.freeze(pivot, pivot_phase.residue(R[0]) / pivot_phase.den)
 
-    def state(R):
-        return succ, h, frozen(R)
-
     def fits(R):
-        # the frozen function reads each point less its pivot: on a torus
-        # those are h's residues, and on Heisenberg its y is b % Dy while
-        # no factor reads z (_check_compat), so these are h's points
         F2 = frozen(R)
         points = g.float_points(Mf, Progression(*R))
-        dev = max(abs(F.value(u) - F2.value(u[:pivot] + u[pivot + 1 :])) for u in points)
+        dev = max(abs(F.value(u) - F2.value(u)) for u in points)
         return dev <= float(eps_f) + 2**-30
 
-    live = succ.dim > 0 and any(f.coord != pivot for f in F.factors)
-    return [(R, partial(state, R) if live else None) for R in repair(cert.parts, fits)]
+    live = any(f.coord != pivot for f in F.factors)
+    return [(R, partial(frozen, R) if live else None) for R in repair(cert.parts, fits)]
 
 
 def partition_nilsequence(Mf, g, F, P, eps):
@@ -411,12 +401,12 @@ def partition_nilsequence(Mf, g, F, P, eps):
         # part kept a float rounding above eps still records its diameter
         return complex_diam(vals[index_slice(P, Q)], eps_val + WITNESS_SLACK)
 
-    def reduce(build, Q):  # a state builds its nilsequence, only for a part reduced
+    def reduce(build, Q):  # a state builds its function, only for a part reduced
         # the module global, read at call time: a tracer's wrapper sees the call
-        return reduce_dimension(*build(), Q, level_eps)
+        return reduce_dimension(Mf, g, build(), Q, level_eps)
 
     # a function with no factors is constant: refine keeps P at diameter 0
-    parts, witnesses, max_depth = refine(P, lambda: (Mf, g, F), diam, eps_val, reduce)
+    parts, witnesses, max_depth = refine(P, lambda: F, diam, eps_val, reduce)
     assert all(w <= eps_val + WITNESS_SLACK for w in witnesses)
     return PartitionCertificate(
         source=P,

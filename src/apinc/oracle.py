@@ -18,7 +18,6 @@ verifying a phase certificate never loads it.
 """
 
 import cmath
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -123,10 +122,20 @@ def brute_gowers(f, k):
 # Independent channel evaluation (certificate verification)
 
 
-@functools.lru_cache(maxsize=16)
-def _parse_phase(basis, exact, coeffs):
+def _phase_poly(ph):
     """Integer monomial coefficients T and denominator D of a serialized
-    phase, phi(n) = sum_i T[i] n^i / D; parsed once per phase."""
+    phase, phi(n) = sum_i T[i] n^i / D; a binomial phase's expansion is
+    charged first, (d+1)^3 for its d+1 coefficients."""
+    exact, basis, coeffs = ph.get("exact", True), ph["basis"], ph["coeffs"]
+    if type(exact) is not bool:  # bool("false") is True: read no string or number as a flag
+        raise InvalidArgumentError(f"exact must be a JSON boolean, got {exact!r}")
+    # tuple() reads an object as its keys, a string as its characters, and Fraction(False) is 0
+    if type(coeffs) is not list or not all(type(c) in (str, int, float) for c in coeffs):
+        raise InvalidArgumentError(f"coeffs must be a JSON list of strings and numbers, got {coeffs!r}")
+    if basis not in ("binomial", "monomial"):
+        raise InvalidArgumentError(f"unknown phase basis {basis!r}")
+    if basis == "binomial":
+        charge(len(coeffs) ** 3, f"expansion of a binomial phase of {len(coeffs)} coefficients")
     cs = [Fraction(c) if exact else Fraction(float(c)) for c in coeffs]
     D = math.lcm(*(c.denominator for c in cs))
     nums = [c.numerator * (D // c.denominator) for c in cs]
@@ -145,22 +154,6 @@ def _parse_phase(basis, exact, coeffs):
         for i, c in enumerate(falling):
             T[i] += w * c
     return D * math.factorial(d), tuple(T)
-
-
-def _phase_poly(ph):
-    """`_parse_phase` of a serialized phase; a binomial phase's expansion
-    is charged first, (d+1)^3 for its d+1 coefficients."""
-    exact, basis, coeffs = ph.get("exact", True), ph["basis"], ph["coeffs"]
-    if type(exact) is not bool:  # bool("false") is True: read no string or number as a flag
-        raise InvalidArgumentError(f"exact must be a JSON boolean, got {exact!r}")
-    # tuple() reads an object as its keys, a string as its characters, and Fraction(False) is 0
-    if type(coeffs) is not list or not all(type(c) in (str, int, float) for c in coeffs):
-        raise InvalidArgumentError(f"coeffs must be a JSON list of strings and numbers, got {coeffs!r}")
-    if basis not in ("binomial", "monomial"):
-        raise InvalidArgumentError(f"unknown phase basis {basis!r}")
-    if basis == "binomial":
-        charge(len(coeffs) ** 3, f"expansion of a binomial phase of {len(coeffs)} coefficients")
-    return _parse_phase(basis, exact, tuple(coeffs))
 
 
 def _horner(T, n):
@@ -207,13 +200,15 @@ def _nil_value_fn(payload):
     """Parse a nilsequence payload once; returns (value, steps): value(n)
     is its function's complex value at the serialized point of n, and
     `steps` the Horner steps of its highest-degree phase, at least 1."""
-    kind, seq = payload["manifold"]["kind"], payload["sequence"]["coords"]
-    if kind == "torus":
-        coords, point = [_phase_poly(ph) for ph in seq], _torus_point
-    elif kind == "heisenberg":
-        coords, point = [_phase_poly(seq[i]) for i in range(3)], _heisenberg_point
-    else:
+    manifold, seq = payload["manifold"], payload["sequence"]["coords"]
+    kind, dim = manifold["kind"], manifold.get("dim")
+    if kind not in ("torus", "heisenberg"):
         raise InvalidArgumentError(f"unknown manifold kind {kind!r}")
+    # one coordinate per dimension, three on Heisenberg; a bool is an int to Python
+    if type(dim) is not int or dim != len(seq) or (kind == "heisenberg" and dim != 3):
+        raise InvalidArgumentError(f"{kind} of dim {dim!r} with a sequence of {len(seq)} coordinates")
+    coords = [_phase_poly(ph) for ph in seq]
+    point = _torus_point if kind == "torus" else _heisenberg_point
     fn = payload["function"]
     prefactor = complex(fn.get("prefactor_re", 1.0), fn.get("prefactor_im", 0.0))
     factors = []

@@ -216,12 +216,15 @@ class TestLipschitzFunctions:
         d = max(min(abs(a - b), 1 - abs(a - b)) for a, b in ((u, v), (w1, w2)))
         assert abs(F.value((u, w1)) - F.value((v, w2))) <= F.lipschitz * d + 1e-9
 
-    def test_freeze_folds_and_reindexes(self):
+    def test_freeze_folds_and_keeps_coordinates(self):
         F = lipschitz_catalog("e(x)*cutoff")
         F2 = F.freeze(0, 0.25)  # e(1/4) = i folded into the prefactor
         assert abs(F2.prefactor - 1j) < 1e-12
-        assert len(F2.factors) == 1 and F2.factors[0].coord == 0
-        assert abs(F2.value((0.5,)) - F.value((0.25, 0.5))) < 1e-12
+        # the bump on y is kept as it was, coordinate 1 included
+        assert F2.factors == (F.factors[1],)
+        # F2 reads the same point F reads, whatever its frozen coordinate holds
+        for x in (0.25, 0.7):
+            assert abs(F2.value((x, 0.5)) - F.value((0.25, 0.5))) < 1e-12
 
     def test_bounded_everywhere(self):
         F = lipschitz_catalog("e(x)*cutoff")
@@ -230,9 +233,10 @@ class TestLipschitzFunctions:
                 assert abs(F.value((u, v))) <= 1 + 1e-12
 
     def test_json_roundtrip(self):
-        # a frozen function keeps its prefactor and shifted coordinates
+        # a frozen function keeps its prefactor and its factor on y
         F = lipschitz_catalog("e(x)*cutoff").freeze(0, 0.3)
-        Mf, g, P = Nilmanifold.torus(1), PolySequence.torus_linear([SQRT2]), Progression(1, 1, 30)
+        Mf, g = Nilmanifold.torus(2), PolySequence.torus_linear([SQRT2, SQRT3])
+        P = Progression(1, 1, 30)
         assert np.array_equal(read_back(Mf, g, F, P), nil_values(Mf, g, F, P))
 
 
@@ -338,11 +342,12 @@ class TestReduceDimension:
         out = reduce_dimension(Mf, g, F, P, Fraction(1, 4))
         covered = []
         for R, state in out:
-            Mf2, h, F2 = state()
+            F2 = state()
             covered.extend(elements(R))
-            assert Mf2.dim == 1
+            # the pivot x is frozen; y keeps its coordinate number
+            assert F2.used_coords == [1]
             for n in elements(R):
-                approx = F2.value((h.coords[0].eval(n),))
+                approx = nil_eval(Mf, g, F2, n)
                 assert abs(nil_eval(Mf, g, F, n) - approx) <= 0.25 + 1e-9
         assert sorted(covered) == elements(P)
 
@@ -381,6 +386,36 @@ class TestReduceDimension:
         P = Progression(1, 1, 500)
         partition_nilsequence(Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), P, 0.1)
         assert calls == [(1, 1, 500)]
+
+    # every level reads the root's manifold and sequence: none is built
+    # below the root, and a level's function keeps the root's factors off
+    # the pivots, coordinate numbers included
+    @pytest.mark.parametrize(
+        "Mf, coords, N, eps",
+        [
+            (Nilmanifold.heisenberg(),
+             [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()],
+             5000, 0.5),
+            (Nilmanifold.torus(2),
+             [PolyPhase.binomial([0, Fraction(1, 7), Fraction(3, 11)]),
+              PolyPhase.monomial([0, 0.3183098861837907])],
+             3000, 0.2),
+        ],
+        ids=["heisenberg-5000", "torus2-3000"],
+    )
+    def test_levels_share_the_root_manifold_and_sequence(self, monkeypatch, Mf, coords, N, eps):
+        g, F = PolySequence(coords), lipschitz_catalog("e(x)*cutoff")
+        built, levels = [], []
+        torus, init, real = Nilmanifold.torus.__func__, PolySequence.__init__, nil.reduce_dimension
+        monkeypatch.setattr(Nilmanifold, "torus", classmethod(lambda cls, d: built.append(d) or torus(cls, d)))
+        monkeypatch.setattr(PolySequence, "__init__", lambda h, c: built.append(c) or init(h, c))
+        monkeypatch.setattr(nil, "reduce_dimension", lambda *a: levels.append(a[:3]) or real(*a))
+        cert = partition_nilsequence(Mf, g, F, Progression(1, 1, N), eps)
+        assert cert.payload["depth"] == 2
+        assert len(built) == 0
+        assert all(M is Mf and h is g for M, h, _ in levels)
+        below = [F2 for _, _, F2 in levels if F2 is not F]
+        assert below and all(F2.factors == F.factors[1:] for F2 in below)
 
 
 def assert_pairs_cover(Q, pairs):
@@ -453,12 +488,11 @@ class TestReductionContract:
             return
         pivot = F.factors[0].coord
         left = any(f.coord != pivot for f in F.factors)
-        h = PolySequence([c for i, c in enumerate(g.coords) if i != pivot])
         for R, state in pairs:
             assert (state is None) == (not left)
             if state is not None:
                 u = float(g.coords[pivot].eval(R[0]))
-                assert state() == (Nilmanifold.torus(Mf.dim - 1), h, F.freeze(pivot, u))
+                assert state() == F.freeze(pivot, u)
 
 
 class TestPartitionNilsequence:
