@@ -556,6 +556,13 @@ class TestPartitionAndVerify:
                  "--range", "1..2000", "--eps", "0.05"],
                 "986400d59bbb217cf661a23834a0c3d56ce03dab0f2caa3be4d76723c9c3ac5f",
             ),
+            # criterion 5's certificate: 18,733 parts in 1,613,025 bytes
+            (
+                ["partition-phase",
+                 "--phase", "1.4142135623730951 n + 1.7320508075688772 C(n,2)",
+                 "--range", "1..20000", "--eps", "0.05"],
+                "fdce7ea3a74df7c8a899d58446c3f0c5d46033bf37571328481b6ec353f7b5ef",
+            ),
             (
                 ["partition-nil", "--manifold", "heisenberg",
                  "--seq", "1.4142135623730951 n; 1.7320508075688772 n; 0",
@@ -589,7 +596,7 @@ class TestPartitionAndVerify:
                 "954bf7023b3c68b70f6b72e6c5f9195c20ec4162c4b8d464d194d1dd7344a920",
             ),
         ],
-        ids=["phase-2000", "heisenberg-500", "heisenberg-5000", "heisenberg-5000-eps05", "torus2-3000",
+        ids=["phase-2000", "phase-20000", "heisenberg-500", "heisenberg-5000", "heisenberg-5000-eps05", "torus2-3000",
              "phase-cubic-4000"],
     )
     def test_golden_digest(self, tmp_path, capsys, argv, digest):
