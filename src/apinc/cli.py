@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Subcommands: count, gowers, partition-phase, partition-nil, verify,
-roth.  All structured failures print a machine-readable error JSON on
-stderr and exit nonzero: 2 verification failure, 3 budget exceeded,
-4 invalid input.  APINC_BUDGET overrides work budgets.
+roth.  A structured failure prints a machine-readable error JSON on
+stderr and exits with its error class's `exit_code` (see `errors`): 2
+verification failure, 3 budget exceeded, 4 invalid input.  APINC_BUDGET
+overrides work budgets.
 
 File formats: sets are JSON {"N": .., "members": [..]}; functions are
 JSON {"M": .., "re": [..], "im": [..]}; phases use the mini-grammar
@@ -17,20 +18,9 @@ import math
 import re
 import sys
 
-from .errors import (
-    ApincError,
-    BudgetExceededError,
-    CertificateError,
-    InvalidArgumentError,
-    charge,
-)
+from .errors import ApincError, InvalidArgumentError, charge
 from .polyphase import PolyPhase, lift
 from .progressions import Progression
-
-EXIT_OK = 0
-EXIT_VERIFY = 2
-EXIT_BUDGET = 3
-EXIT_INVALID = 4
 
 _TERM = re.compile(
     r"^\s*([+-]?[0-9][0-9_]*(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?)"
@@ -86,24 +76,21 @@ def load_json(path):
         raise InvalidArgumentError(f"cannot read JSON file {path}: {e}") from e
 
 
-def emit(obj, out=None):
-    write_text(json.dumps(obj, indent=2, sort_keys=True), out)
+def emit(obj):
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def write_text(text, out):
-    """Write text and a newline to the file `out`, or to stdout."""
+def emit_partition(cert, out):
+    """Write a partition certificate, in `emit`'s bytes, with a newline
+    to the file `out` or to stdout, and its summary on stderr: part
+    count, shortest part, largest witness and, when the payload records
+    one, the reduction depth."""
+    text = cert.to_json_text()  # built before `out` is opened: a refused certificate leaves no file
     if out:
         with open(out, "w") as fh:
             print(text, file=fh)
     else:
         print(text)
-
-
-def emit_partition(cert, out):
-    """Write a partition certificate, in `emit`'s bytes, and its summary
-    on stderr: part count, shortest part, largest witness and, when the
-    payload records one, the reduction depth."""
-    write_text(cert.to_json_text(), out)
     summary = {"num_parts": cert.num_parts, "min_len": cert.min_len, "max_diam": max(cert.diam_witness)}
     if "depth" in cert.payload:
         summary["depth"] = cert.payload["depth"]
@@ -248,16 +235,10 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-        return EXIT_OK
-    except CertificateError as e:
-        print(json.dumps(e.payload()), file=sys.stderr)
-        return EXIT_VERIFY
-    except BudgetExceededError as e:
-        print(json.dumps(e.payload()), file=sys.stderr)
-        return EXIT_BUDGET
+        return 0
     except ApincError as e:
         print(json.dumps(e.payload()), file=sys.stderr)
-        return EXIT_INVALID
+        return e.exit_code
 
 
 if __name__ == "__main__":

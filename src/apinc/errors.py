@@ -1,8 +1,10 @@
 """Structured errors shared by every module.
 
 Every failure the toolkit can report is one of these; nothing fails
-silently.  The CLI maps them to exit codes (see cli.EXIT_*).  Every
-work-budget check goes through `charge`.
+silently.  Each class owns its CLI exit code, `exit_code`: 2 for a
+failed verification, 3 for an exceeded budget and 4 for any other
+failure, invalid input included.  Every work-budget check goes through
+`charge`.
 """
 
 import os
@@ -14,6 +16,7 @@ class ApincError(Exception):
     """Base class for all toolkit errors."""
 
     code = "error"
+    exit_code = 4
 
     def payload(self):
         return {"error": self.code, "message": str(self)}
@@ -29,6 +32,7 @@ class PreconditionError(ApincError):
 
 class BudgetExceededError(ApincError):
     code = "budget-exceeded"
+    exit_code = 3
 
 
 def work_budget():
@@ -58,6 +62,7 @@ class CertificateError(ApincError):
     """Raised by the independent verifier with a machine-readable reason."""
 
     code = "verification-failed"
+    exit_code = 2
 
     def __init__(self, reason, message=""):
         super().__init__(message or reason)

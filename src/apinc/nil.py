@@ -101,10 +101,6 @@ class PolySequence:
     def torus_linear(cls, alphas):
         return cls([PolyPhase.monomial([0, a]) for a in alphas])
 
-    @property
-    def degree(self):
-        return max((c.degree for c in self.coords), default=0)
-
     def float_points(self, Mf, P):
         """Fundamental-domain coordinates of g(n)Gamma at every element
         n of P, as floats: computed on the integer numerators and divided
@@ -324,8 +320,9 @@ def reduce_dimension(Mf, g, F, P, eps):
     F_R(g(n)Gamma) agrees with F(g(n)Gamma) on R to within eps; state is
     None when F_R has no factor left to freeze.  A function with no
     factors has nothing to reduce: [(P, None)].  Every level reads the
-    same manifold and sequence: the caller checked (Mf, g, F) at the
-    root, and a frozen function uses a subset of F's coordinates.
+    same manifold and sequence and checks nothing: the caller checked
+    (Mf, g, F) and eps at the root and passes eps / dim, at most 1/2, and
+    a frozen function uses a subset of F's coordinates.
 
     Pivot on the first coordinate F uses; partition P so the pivot
     coordinate phase moves by at most eps / L_pivot, then freeze the
@@ -338,9 +335,6 @@ def reduce_dimension(Mf, g, F, P, eps):
     depend on the part.
     """
     eps_f = lift(eps)
-    if not 0 < eps_f <= Fraction(1, 2):
-        raise PreconditionError("eps must lie in (0, 1/2]")
-
     if not F.factors:  # the only functions on a 0-dimensional manifold
         return [(P, None)]
 

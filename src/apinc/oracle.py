@@ -322,7 +322,9 @@ def _holds(base, step, n, x):
 
 
 def verify_certificate(cert):
-    """Re-verify a PartitionCertificate JSON object from scratch.
+    """Re-verify a certificate JSON object from scratch; a
+    `PartitionCertificate` is read through `to_json`, as the bytes the
+    CLI writes.
 
     Checks disjointness, exact coverage of the source, the minimum part
     length, and recomputes every diameter witness with the independent
@@ -339,9 +341,9 @@ def verify_certificate(cert):
     integer, or a progression is empty, has step 0 or leaves the 64-bit
     range); returns a report dict on success.
     """
-    if hasattr(cert, "to_json"):
-        cert = cert.to_json()
     try:  # every field read below, parsed up front
+        if hasattr(cert, "to_json"):  # the object as the CLI writes it
+            cert = cert.to_json()
         B, S, N = _triple(cert["source"])
         parts = [_triple(p) for p in cert["parts"]]
         stored, eps = [p["diam"] for p in cert["parts"]], cert["epsilon"]
@@ -420,5 +422,5 @@ def verify_certificate(cert):
         "channel": channel,
         "num_parts": len(parts),
         "min_len": min(n for _, _, n in parts),
-        "max_diam": max(witnesses) if witnesses else 0.0,
+        "max_diam": max(witnesses),
     }

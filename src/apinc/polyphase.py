@@ -113,14 +113,8 @@ def _walk(diffs, length):
 
 def _values(num, base, step, length, den=0):
     """sum_j num[j] C(n, j) at n = base + step*t for t < length, reduced
-    mod den when den is given: the first deg+1 points are evaluated
-    directly, the rest walk their forward differences."""
-    head = [_eval_num(num, base + step * t) for t in range(min(length, len(num)))]
-    if den:
-        head = [v % den for v in head]
-    if length <= len(head):
-        return head
-    vals = _walk(_differences(head), length)
+    mod den when den is given: a walk of the frame's differences."""
+    vals = _walk(_frame(num, base, step), length)
     return [v % den for v in vals] if den else vals
 
 
@@ -432,15 +426,13 @@ def reduce_degree_partition(phi, P, theta_target):
     Weyl step: kill the leading local coefficient along a common
     difference n_w, then chop into blocks whose leading-term variation
     stays below the target.  Parts that fail the exhaustive check are
-    halved until they pass (length-1 parts always do).
+    halved until they pass (length-1 parts always do).  Nothing is
+    checked here: the one caller, `reduce` in `partition_polyphase`,
+    passes a P of at least 3 points and a theta_target in (0, 1/2] from
+    the eps checked at entry.
     """
     theta = lift(theta_target)
-    if not 0 < theta <= HALF:
-        raise PreconditionError("theta_target must lie in (0, 1/2]")
     _, _, length = P
-    if length < 2:
-        raise PreconditionError("progression must have length >= 2")
-
     s = phi.degree
     if s == 0:
         return [(P, None)]

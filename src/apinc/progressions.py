@@ -91,30 +91,30 @@ class PartitionCertificate:
         return min(n for _, _, n in self.parts)
 
     def to_json(self):
-        pairs = zip(self.parts, self.diam_witness)
-        return self._json([dict(base=b, step=s, len=n, diam=float(w)) for (b, s, n), w in pairs])
+        """The certificate as a new JSON object: `to_json_text` read
+        back, so it holds the bytes the writer writes and shares no
+        object with the certificate."""
+        return json.loads(self.to_json_text())
 
-    def _json(self, parts):
-        return {
+    def to_json_text(self):
+        """The certificate's one writer: `json.dumps(..., indent=2,
+        sort_keys=True)` bytes, with each part formatted directly as a
+        fixed row, as the pure-Python encoder that `indent` forces costs
+        far more per part.  A witness is written as `repr(float(w))`,
+        json's own form of a finite float; a non-finite one is refused,
+        never written."""
+        ws = [float(w) for w in self.diam_witness]
+        if not all(map(isfinite, ws)):
+            raise InvalidArgumentError("every diameter witness must be finite")
+        fields = {
             "channel": self.channel,
             "source": self.source.to_json(),
             "epsilon": float(self.epsilon),
             "min_len": self.min_len,
-            "parts": parts,
+            "parts": [],
             "payload": self.payload,
         }
-
-    def to_json_text(self):
-        """`json.dumps(self.to_json(), indent=2, sort_keys=True)`, byte
-        for byte, with each part formatted directly as a fixed row: the
-        pure-Python encoder that `indent` forces costs far more per part.
-        A witness is written as `repr(float(w))`, json's own form of a
-        finite float; a non-finite one is refused, never written."""
-        ws = [float(w) for w in self.diam_witness]
-        if not all(map(isfinite, ws)):
-            raise InvalidArgumentError("every diameter witness must be finite")
-        text = json.dumps(self._json([]), indent=2, sort_keys=True)
-        head, tail = text.split(_NO_PARTS)
+        head, tail = json.dumps(fields, indent=2, sort_keys=True).split(_NO_PARTS)
         rows = ",".join([_ROW % (b, repr(w), n, s) for (b, s, n), w in zip(self.parts, ws)])
         return f'{head}\n  "parts": [{rows}\n  ]{tail}'
 

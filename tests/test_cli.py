@@ -8,8 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from apinc import cli
 from apinc.cli import emit_partition, main, parse_coeff, parse_phase, parse_range
-from apinc.errors import BudgetExceededError, InvalidArgumentError
+from apinc.errors import (
+    ApincError,
+    BudgetExceededError,
+    CertificateError,
+    IntegerRangeError,
+    InvalidArgumentError,
+    PreconditionError,
+    UnsupportedManifoldError,
+)
 from apinc.gowers import DenseSet, GroupFunction
 from apinc.polyphase import PolyPhase, partition_polyphase
 from apinc.progressions import Progression
@@ -89,6 +98,32 @@ class TestUsage:
         code, _, err = run(capsys, "partition-phase", "--phase", "1/8 n", "--range=-5..5",
                            "--eps", "0.05")
         assert code == 0 and json.loads(err.strip().splitlines()[-1])["min_len"] == 1
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (CertificateError("coverage-gap"), 2),
+        (BudgetExceededError("over"), 3),
+        (ApincError("failed"), 4),
+        (InvalidArgumentError("bad"), 4),
+        (PreconditionError("unmet"), 4),
+        (UnsupportedManifoldError("no such coordinate"), 4),
+        (IntegerRangeError("too large"), 4),
+    ],
+    ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
+)
+def test_error_class_owns_its_exit_code(monkeypatch, capsys, error, code):
+    # main has one handler: it prints the payload and returns the class's code
+    assert error.exit_code == code
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_count", fail)
+    got, out, err = run(capsys, "count", "--set", "A.json", "--k", "3")
+    assert got == code and out == ""
+    assert json.loads(err) == error.payload()
 
 
 class TestCount:
@@ -542,7 +577,15 @@ class TestPartitionAndVerify:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 10**6
-        assert path.read_text() == json.dumps(cert.to_json(), indent=2, sort_keys=True) + "\n"
+        reference = {  # the format, built from the certificate's fields without its writer
+            "channel": cert.channel,
+            "source": {"base": 1, "step": 1, "len": 20000},
+            "epsilon": cert.epsilon,
+            "min_len": min(n for _, _, n in cert.parts),
+            "parts": [dict(base=b, step=s, len=n, diam=w) for (b, s, n), w in zip(cert.parts, cert.diam_witness)],
+            "payload": cert.payload,
+        }
+        assert path.read_text() == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
     # SHA-256 of certificates as earlier implementations wrote them (the
     # first two by the Fraction-based kernel): a change that keeps the

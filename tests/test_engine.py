@@ -22,8 +22,9 @@ from apinc.engine import (
     szemeredi_search,
 )
 from apinc.errors import BudgetExceededError, InvalidArgumentError
-from apinc.gowers import DenseSet, ap_count, balanced
+from apinc.gowers import DenseSet, InverseWitness, ap_count, balanced, m_embed
 from apinc.oracle import brute_ap_count
+from apinc.polyphase import PolyPhase
 from apinc.progressions import Progression
 
 
@@ -369,3 +370,41 @@ def test_outcomes_serialize():
 
     assert APFound(Progression(1, 2, 3)).to_json()["variant"] == "ap-found"
     assert Inconclusive("oracle").to_json()["reason"] == "oracle"
+
+
+class TestTerminalOutcomes:
+    """The outcomes that end a search before an AP or the iteration cap,
+    on a 3-AP-free set in [1..52] whose one increment lands on a part of
+    step 21."""
+
+    A = DenseSet(52, [3, 7, 8, 19, 20, 23, 25, 34, 40, 44, 50, 51])
+
+    def test_density_full(self):
+        # floor 2 keeps the part 19, 40: A fills it, and two points hold no 3-AP
+        out, trace = szemeredi_search(self.A, 3, floor_n0=2)
+        assert out == Inconclusive("length-floor", stage="density-full")
+        assert trace.records[-1]["part"] == {"base": 19, "step": 21, "len": 2}
+
+    def test_entry_floor(self):
+        # floor 3 keeps the part 2, 23, 44 instead, which the next step refuses at entry
+        out, trace = szemeredi_search(self.A, 3, floor_n0=3)
+        assert out == Inconclusive("length-floor", stage="entry")
+        assert [r["outcome"] for r in trace.records] == ["incremented", "inconclusive:length-floor"]
+
+    def test_overstated_witness_refused(self):
+        # e(n/M) correlates with A far below the claimed 0.05, so no part
+        # carries the gain that claim promises
+        M = m_embed(self.A.N, 3)
+        witness = InverseWitness(PolyPhase.monomial([0, Fraction(1, M)]), M, 0.05)
+        out, _ = szemeredi_search(self.A, 3, floor_n0=2, oracle=lambda f: witness)
+        assert out == Inconclusive("increment-shortfall", stage="pigeonhole")
+
+
+def test_incremented_json_round_trip():
+    out = density_increment_step(bench_digit_set(0), 3)
+    assert isinstance(out, Incremented)
+    obj = out.to_json()
+    assert json.loads(json.dumps(obj)) == obj
+    assert obj["variant"] == "incremented" and obj["part"] == out.part.to_json()
+    assert obj["new_density"] == len(out.new_set.members) / out.part.len
+    assert obj["delta"] == out.witness.correlation and obj["delta_eff"] == out.delta_eff

@@ -40,6 +40,16 @@ def test_subdivide_is_not_exported():
     assert callable(apinc.progressions.subdivide)
 
 
+@pytest.mark.parametrize("module, name", [("polyphase", "reduce_degree_partition"), ("nil", "reduce_dimension")])
+def test_one_level_steps_are_not_exported(module, name):
+    # each step trusts its one caller, the channel's refine, to have
+    # checked its input, so it is read from its module alone
+    with pytest.raises(AttributeError, match=name):
+        getattr(apinc, name)
+    assert name not in apinc.__all__
+    assert callable(getattr(getattr(apinc, module), name))
+
+
 def test_owning_modules_resolve():
     # `import apinc` once imported them all, so `apinc.nil` worked without
     # an import of its own

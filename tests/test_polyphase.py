@@ -512,6 +512,36 @@ def test_partitions_build_a_progression_only_at_the_boundary(monkeypatch):
         assert type(p) is tuple and len(p) == 3 and all(type(x) is int for x in p)
 
 
+def test_one_level_steps_see_only_checked_inputs(monkeypatch):
+    # neither one-level step checks its input: refine hands it a part of
+    # at least 3 points (it keeps a point and splits a pair), and the
+    # budget comes from the eps its entry point checked, at most 1/2.
+    # Criterion 5's input and Heisenberg 1..5000 at eps 0.5, whose
+    # recursion reaches its second level, run both steps
+    import apinc.nil as nil
+    import apinc.polyphase as polyphase
+    from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, partition_nilsequence
+
+    seen = {"reduce_degree_partition": [], "reduce_dimension": []}
+    for module, name in ((polyphase, "reduce_degree_partition"), (nil, "reduce_dimension")):
+        def spy(*args, step=getattr(module, name), calls=seen[name]):
+            calls.append(args[-2:])  # (part, budget)
+            return step(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    partition_polyphase(PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)]), Progression(1, 1, 20000), 0.05)
+    g = PolySequence(
+        [PolyPhase.monomial([0, math.sqrt(2)]), PolyPhase.monomial([0, math.sqrt(3)]), PolyPhase.zero()]
+    )
+    cert = partition_nilsequence(
+        Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), Progression(1, 1, 5000), 0.5
+    )
+    assert cert.payload["depth"] == 2
+    for calls in seen.values():
+        assert calls
+        assert all(n >= 3 and 0 < budget <= Fraction(1, 2) for (_, _, n), budget in calls)
+
+
 def test_oracle_brute_diam_agrees():
     phi = PolyPhase.binomial([0, Fraction(2, 7), Fraction(3, 11)])
     P = Progression(3, 2, 60)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apinc.errors import IntegerRangeError, InvalidArgumentError
-from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, nil_values
+from apinc.nil import Nilmanifold, PolySequence, lipschitz_catalog, nil_values, partition_nilsequence
 from apinc import oracle, progressions
 from apinc.oracle import verify_certificate
 from apinc.polyphase import PolyPhase, partition_polyphase
@@ -426,13 +426,59 @@ def _certificates(draw):
     )
 
 
+def reference_json(cert):
+    """The certificate format, built from the certificate's fields
+    without its writer."""
+    return {
+        "channel": cert.channel,
+        "source": {"base": cert.source.base, "step": cert.source.step, "len": cert.source.len},
+        "epsilon": float(cert.epsilon),
+        "min_len": min(n for _, _, n in cert.parts),
+        "parts": [
+            {"base": b, "step": s, "len": n, "diam": float(w)}
+            for (b, s, n), w in zip(cert.parts, cert.diam_witness)
+        ],
+        "payload": cert.payload,
+    }
+
+
+def containers(x):
+    """The ids of the dicts and lists reachable from x."""
+    items = x.values() if isinstance(x, dict) else x if isinstance(x, (list, tuple)) else ()
+    own = {id(x)} if isinstance(x, (dict, list)) else set()
+    return own.union(*map(containers, items))
+
+
 class TestCertificateText:
     # the row writer's text is json.dumps's, for both channels' payloads,
     # parts near the 64-bit bounds and witnesses such as -0.0 and 5e-324
     @given(_certificates())
     @settings(max_examples=300, deadline=None)
     def test_rows_are_json_dumps_bytes(self, cert):
-        assert cert.to_json_text() == json.dumps(cert.to_json(), indent=2, sort_keys=True)
+        assert cert.to_json_text() == json.dumps(reference_json(cert), indent=2, sort_keys=True)
+
+    @given(_certificates())
+    @settings(max_examples=100, deadline=None)
+    def test_to_json_reads_the_writer_back(self, cert):
+        assert cert.to_json() == json.loads(cert.to_json_text())
+
+    @pytest.mark.parametrize("channel", ["polyphase", "nilsequence"])
+    def test_to_json_shares_no_object(self, channel):
+        # an edit to the returned object leaves what the writer writes unchanged
+        P = Progression(1, 1, 40)
+        if channel == "polyphase":
+            cert = partition_polyphase(PolyPhase.binomial([0, "1/7", "1/3"]), P, 0.1)
+        else:
+            g = PolySequence([PolyPhase.monomial([0, "1/7"]), PolyPhase.monomial([0, "1/9"])])
+            cert = partition_nilsequence(Nilmanifold.torus(2), g, lipschitz_catalog("e(x)*cutoff"), P, 0.1)
+        text = cert.to_json_text()
+        obj = cert.to_json()
+        assert obj == json.loads(text)
+        assert not containers(obj) & containers(vars(cert))
+        phase = obj["payload"]["phase"] if channel == "polyphase" else obj["payload"]["sequence"]["coords"][0]
+        phase["coeffs"][1] = "1/4"
+        obj["parts"].clear()
+        assert cert.to_json_text() == text
 
     @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_witness_refused(self, w):
