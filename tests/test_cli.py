@@ -582,7 +582,9 @@ class TestPartitionAndVerify:
             "source": {"base": 1, "step": 1, "len": 20000},
             "epsilon": cert.epsilon,
             "min_len": min(n for _, _, n in cert.parts),
-            "parts": [dict(base=b, step=s, len=n, diam=w) for (b, s, n), w in zip(cert.parts, cert.diam_witness)],
+            "parts": [
+                dict(base=b, step=s, len=n, diam=w) for (b, s, n), w in zip(cert.parts, cert.diam_witness)
+            ],
             "payload": cert.payload,
         }
         assert path.read_text() == json.dumps(reference, indent=2, sort_keys=True) + "\n"
@@ -639,8 +641,8 @@ class TestPartitionAndVerify:
                 "954bf7023b3c68b70f6b72e6c5f9195c20ec4162c4b8d464d194d1dd7344a920",
             ),
         ],
-        ids=["phase-2000", "phase-20000", "heisenberg-500", "heisenberg-5000", "heisenberg-5000-eps05", "torus2-3000",
-             "phase-cubic-4000"],
+        ids=["phase-2000", "phase-20000", "heisenberg-500", "heisenberg-5000", "heisenberg-5000-eps05",
+             "torus2-3000", "phase-cubic-4000"],
     )
     def test_golden_digest(self, tmp_path, capsys, argv, digest):
         path = tmp_path / "cert.json"

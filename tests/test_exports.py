@@ -42,8 +42,8 @@ def test_subdivide_is_not_exported():
 
 @pytest.mark.parametrize("module, name", [("polyphase", "reduce_degree_partition"), ("nil", "reduce_dimension")])
 def test_one_level_steps_are_not_exported(module, name):
-    # each step trusts its one caller, the channel's refine, to have
-    # checked its input, so it is read from its module alone
+    # each step trusts its one caller, its channel's reduce inside
+    # refine, to have checked its input, so it is read from its module alone
     with pytest.raises(AttributeError, match=name):
         getattr(apinc, name)
     assert name not in apinc.__all__
