@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -608,6 +609,21 @@ class TestPartitionNilsequence:
         for p, w in zip(cert.parts, cert.diam_witness):
             vals = nil_values(Mf, g, F, Progression(*p))
             assert w == (complex_diam(vals, math.inf) if p[2] > 1 else 0.0)
+
+    def test_negative_step_heisenberg_digest(self):
+        # SHA-256 of the certificate as the merge that measured every
+        # trial wrote it, on Heisenberg 1..5000 walked downwards at eps
+        # 0.5 (2473 parts, two levels): negative-step index and junction
+        # arithmetic must reproduce it byte for byte
+        g = PolySequence(
+            [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()]
+        )
+        cert = partition_nilsequence(
+            Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), Progression(5000, -1, 5000), 0.5
+        )
+        assert (cert.num_parts, cert.payload["depth"]) == (2473, 2)
+        digest = hashlib.sha256(cert.to_json_text().encode()).hexdigest()
+        assert digest == "03d0c41a7d8e3f2fc9acc131b4c3f7b2b6e187bb189ce908d0a5e381f4f69e7d"
 
     def test_budget(self, monkeypatch):
         # torus:1, a linear coordinate, 100 points: 100 * (1 + 2)^2 work units

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -377,6 +378,11 @@ class TestPartition:
             assert w == float(diam_on(phi, Progression(*p)))
         assert_merged_maximal(cert, coeffs, 0.2)
         assert cert.num_parts == 109
+        # SHA-256 of the certificate as the merge that measured every
+        # trial wrote it: negative-step index and junction arithmetic
+        # must reproduce it byte for byte
+        digest = hashlib.sha256(cert.to_json_text().encode()).hexdigest()
+        assert digest == "522af9a1c65b2a3041f72076644e37bed431be570f0b37fc7774c301e3224ae7"
 
     def test_rejects_bad_eps(self):
         with pytest.raises(PreconditionError):
