@@ -309,6 +309,13 @@ def complex_diam(vals, limit):
     return best
 
 
+def _pair_distances(vals, s):
+    """|vals[i + s] - vals[i]| for every i, as floats: the operations
+    `complex_diam` performs on those two points, so each value is the
+    pair's diameter bit for bit (Python's abs(complex) is not)."""
+    return np.abs(vals[s:] - vals[:-s]).tolist()
+
+
 # ---------------------------------------------------------------------
 # Dimension reduction and the nilsequence partition
 
@@ -370,15 +377,18 @@ def partition_nilsequence(Mf, g, F, P, eps):
     — telescopes below eps.  Parts whose true values already fit are
     emitted early, and adjacent parts are re-merged under the
     exhaustive check.  The values over P are computed once; every
-    part's check and each merge trial reads its slice, and the check
-    that keeps a part measures its witness.
+    part's check and each merge trial reads its slice, a two-point part
+    reads its distance from a table of one stride's pair distances, and
+    the check that keeps a part measures its witness.
 
     Cost model, checked against the work budget before anything is
     built: one point costs c = 1 + sum_j (d_j + 1), the difference
     levels of every coordinate phase plus F, and the recursion evaluates
     it at most once per coordinate and once more for the checks and
     merge trials, so P costs len(P) * c^2.  That also covers the phase
-    partition each level runs on its pivot coordinate.
+    partition each level runs on its pivot coordinate.  The pair tables
+    keep one float per source point per distinct stride of a two-point
+    part, and are built only for the strides read.
     """
     _check_compat(Mf, g, F)
     eps_f = lift(eps)
@@ -395,12 +405,20 @@ def partition_nilsequence(Mf, g, F, P, eps):
         # part kept a float rounding above eps still records its diameter
         return complex_diam(vals[index_slice(P, Q)], eps_val + WITNESS_SLACK)
 
+    strides = {}  # s -> _pair_distances(vals, s), built on first use
+
+    def pair(Q):
+        s = Q[1] // P.step
+        if s not in strides:
+            strides[s] = _pair_distances(vals, s)
+        return strides[s][(Q[0] - P.base) // P.step]
+
     def reduce(build, Q):  # a state builds its function, only for a part reduced
         # the module global, read at call time: a tracer's wrapper sees the call
         return reduce_dimension(Mf, g, build(), Q, level_eps)
 
     # a function with no factors is constant: refine keeps P at diameter 0
-    parts, witnesses, max_depth = refine(P, lambda: F, diam, eps_val, reduce)
+    parts, witnesses, max_depth = refine(P, lambda: F, diam, pair, eps_val, reduce)
     assert all(w <= eps_val + WITNESS_SLACK for w in witnesses)
     return PartitionCertificate(
         source=P,

@@ -476,10 +476,11 @@ def partition_polyphase(phi, P, eps):
     are greedily re-merged under the exhaustive check afterwards.
 
     The residues of phi over P are walked once; every part's check and
-    each merge trial reads its slice of them, and the check that keeps a
-    part measures its witness.  A phase of degree at most 1 builds no
-    residue list: a part's diameter depends only on its step and length,
-    and is read from a prefix-maximum table (`_linear_diameters`).
+    each merge trial reads its slice of them, a two-point part reads its
+    two residues in place, and the check that keeps a part measures its
+    witness.  A phase of degree at most 1 builds no residue list: a
+    part's diameter depends only on its step and length, and is read
+    from a prefix-maximum table (`_linear_diameters`), two points included.
 
     Cost model, checked against the work budget before anything is
     built: a residue list over P walks d + 1 difference levels per point
@@ -495,19 +496,24 @@ def partition_polyphase(phi, P, eps):
     # an integer numerator w over den is at most eps exactly when w <= limit
     limit = eps_f.numerator * den // eps_f.denominator
     if phi.degree <= 1:
-        diam_num = _linear_diameters(phi, limit)
+        diam_num = pair = _linear_diameters(phi, limit)
     else:
         res = phi.residues(P)
 
         def diam_num(Q):
             return _diam_num(res[index_slice(P, Q)], den, limit)
 
+        def pair(Q):  # two residues, read in place: _diam_num's exact value
+            i = (Q[0] - P.base) // P.step
+            r = (res[i + Q[1] // P.step] - res[i]) % den
+            return min(r, den - r)
+
     def reduce(build, Q):  # a state builds its phase, only for a part reduced
         phase = build()
         # the budget of degree s >= 1; every companion has a lower degree than its phase
         return reduce_degree_partition(phase, Q, eps_f * BUDGET_WEIGHT / max(phase.degree, 1) ** 2)
 
-    parts, witnesses, _ = refine(P, lambda: phi, diam_num, limit, reduce)
+    parts, witnesses, _ = refine(P, lambda: phi, diam_num, pair, limit, reduce)
     assert max(witnesses) <= limit
     return PartitionCertificate(
         source=P,

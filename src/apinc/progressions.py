@@ -158,15 +158,19 @@ def index_slice(P, Q):
     return slice(start, stop + 1, stride)
 
 
-def merge_parts(parts, measured, diam, limit):
+def merge_parts(parts, measured, diam, pair, limit):
     """Coarsen a partition: greedily absorb a following contiguous
     same-step part (or a singleton) while the union's diameter is at
     most `limit`.  `measured` maps every part already measured to its
     diameter; a trial found there is not measured again, and every union
-    kept records its own there.  Parts are walked by base in the source's
-    direction (downwards for a negative step, which all parts share), so
-    each part's continuation is still unwalked when its turn comes; the
-    result is in base order."""
+    kept records its own there.  A two-point trial is read with `pair`.
+    A longer one is refused unmeasured when its junction, the last point
+    of the current part with the first of the next, is over `limit`:
+    that is the one adjacent pair of the union that neither part holds,
+    and a union's diameter is at least any of its pairs'.  Parts are
+    walked by base in the source's direction (downwards for a negative
+    step, which all parts share), so each part's continuation is still
+    unwalked when its turn comes; the result is in base order."""
     descending = parts[0][1] < 0
     by_base = {p[0]: p for p in parts}
     merged, used = [], set()
@@ -182,7 +186,14 @@ def merge_parts(parts, measured, diam, limit):
             # each base starts one chain and a chain ends at its first
             # rejection, so a trial recurs only as a part the visit measured
             trial = (b, step, n + nxt[2])
-            w = measured[trial] if trial in measured else diam(trial)
+            if trial in measured:
+                w = measured[trial]
+            elif trial[2] == 2:
+                w = pair(trial)
+            elif pair((b + (n - 1) * step, step, 2)) > limit:
+                break
+            else:
+                w = diam(trial)
             if w > limit:
                 break
             used.add(nxt[0])
@@ -218,11 +229,12 @@ def check_budget(P, per_point):
     charge(P.len * per_point, f"partition of {P.len} points")
 
 
-def refine(P, root, diam, limit, reduce):
+def refine(P, root, diam, pair, limit, reduce):
     """The partition recursion shared by every channel.
 
     A part Q of length 1 is kept with diameter 0, never evaluated.  A
-    longer part reached in state `state` is measured once, `diam(Q)`, and
+    longer part reached in state `state` is measured once, by `pair(Q)`
+    for two points and `diam(Q)` for more, and
     kept when that is at most `limit` or the state is None (nothing is
     left to reduce); otherwise `reduce(state, Q)` cuts it into
     [(R, child)] pairs and each R is refined in its child state.  Every
@@ -243,9 +255,13 @@ def refine(P, root, diam, limit, reduce):
 
     `diam(Q)` must return the diameter when that is at most `limit`, and
     may return any value above `limit` otherwise: such a value only
-    splits a part or refuses a merge.  A None-state part keeps what `diam`
-    returned, which the level budgets hold to at most `limit` (the nil
-    channel's float slack aside).
+    splits a part or refuses a merge.  `pair(Q)` reads a two-point part Q
+    under the same rule, and is the only reading a two-point part gets: a
+    visit and a two-point merge trial use it, and the merge reads a
+    longer trial's junction pair with it to refuse the trial unmeasured
+    (`merge_parts`).  A None-state part
+    keeps what was measured, which the level budgets hold to at most
+    `limit` (the nil channel's float slack aside).
     """
     parts, measured, depth = [], {}, 0  # measured: part -> diameter
 
@@ -255,7 +271,7 @@ def refine(P, root, diam, limit, reduce):
         if n == 1:
             parts.append(Q)
             return
-        w = measured[Q] = diam(Q)
+        w = measured[Q] = pair(Q) if n == 2 else diam(Q)
         if state is None or w <= limit:
             parts.append(Q)
             return
@@ -268,5 +284,5 @@ def refine(P, root, diam, limit, reduce):
 
     visit((P.base, P.step, P.len), root, 0)
     del visit  # a recursive closure is a cycle: free its state on return, not at a full collection
-    merged = merge_parts(parts, measured, diam, limit)
+    merged = merge_parts(parts, measured, diam, pair, limit)
     return merged, [measured.get(part, 0) for part in merged], depth

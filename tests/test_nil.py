@@ -333,6 +333,79 @@ class TestComplexDiam:
         assert hulls == []
 
 
+HEISENBERG = (
+    Nilmanifold.heisenberg(),
+    [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()],
+)
+TORUS2 = (
+    Nilmanifold.torus(2),
+    [PolyPhase.binomial([0, Fraction(1, 7), Fraction(3, 11)]), PolyPhase.monomial([0, 0.3183098861837907])],
+)
+
+
+class TestPairDistances:
+    @given(
+        parts=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=2, max_size=40
+        ),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e150]),
+        s=st.integers(1, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_table_is_the_pair_diameter(self, parts, scale, s):
+        # bit for bit: each table value is what complex_diam returns for
+        # those two points, over magnitudes from subnormal to huge
+        vals = np.array([complex(x, y) for x, y in parts]) * scale
+        table = nil._pair_distances(vals, s)
+        assert len(table) == max(len(vals) - s, 0)
+        for i, d in enumerate(table):
+            assert d == complex_diam(vals[[i, i + s]], math.inf)
+
+    # each golden nil case reads one stride: its pair tables hold every
+    # two-point part's distance as complex_diam measures it
+    @pytest.mark.parametrize(
+        "space, N, eps, stride",
+        [(HEISENBERG, 5000, 0.1, 1), (HEISENBERG, 5000, 0.5, 70), (TORUS2, 3000, 0.2, 154)],
+        ids=["heisenberg-5000", "heisenberg-5000-eps05", "torus2-3000"],
+    )
+    def test_golden_cases_read_one_stride(self, monkeypatch, space, N, eps, stride):
+        (Mf, coords), F = space, lipschitz_catalog("e(x)*cutoff")
+        g, P = PolySequence(coords), Progression(1, 1, N)
+        seen, strides, refine = {}, set(), nil.refine
+
+        def spy_refine(P, root, diam, pair, limit, reduce):
+            seen["pair"] = pair
+
+            def spy_pair(Q):
+                strides.add(Q[1] // P.step)
+                return pair(Q)
+
+            return refine(P, root, diam, spy_pair, limit, reduce)
+
+        monkeypatch.setattr(nil, "refine", spy_refine)
+        partition_nilsequence(Mf, g, F, P, eps)
+        assert strides == {stride}
+        vals = nil_values(Mf, g, F, P)
+        for i in range(N - stride):
+            Q = (P.base + i * P.step, stride * P.step, 2)
+            assert seen["pair"](Q) == complex_diam(vals[[i, i + stride]], math.inf)
+
+    def test_heisenberg_measures_only_the_root(self, monkeypatch):
+        # every part of Heisenberg 1..5000 at eps 0.1 is a point, and each
+        # of the 4999 merge trials is a pair read from the stride-1 table:
+        # complex_diam measures the root alone (it measured every trial)
+        calls = []
+        monkeypatch.setattr(
+            nil, "complex_diam", lambda vals, limit: calls.append(len(vals)) or complex_diam(vals, limit)
+        )
+        Mf, coords = HEISENBERG
+        cert = partition_nilsequence(
+            Mf, PolySequence(coords), lipschitz_catalog("e(x)*cutoff"), Progression(1, 1, 5000), 0.1
+        )
+        assert cert.num_parts == 5000
+        assert calls == [5000]
+
+
 class TestReduceDimension:
     def test_torus_two_to_one(self):
         Mf = Nilmanifold.torus(2)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +18,7 @@ from apinc.polyphase import (
     _within,
     circle_diam,
     diam_on,
+    lift,
     partition_polyphase,
     reduce_degree_partition,
 )
@@ -448,8 +450,11 @@ def test_criterion_5_input_reduces_once(monkeypatch):
     # those that fail split in the skeleton, so the root is the only
     # reduction, no block's companion is built, and equal blocks share
     # one tail check; a merge trial equal to a part the visit measured
-    # over the limit is refused unmeasured, which leaves 19940 diameter
-    # evaluations
+    # over the limit is refused unmeasured, a pair is read in place, and
+    # a longer trial whose junction pair is over the limit is refused
+    # unmeasured, which leaves 999 diameter evaluations: the root, the
+    # one tail check and 997 merge trials of three or more points (19940
+    # when every pair and every unrefused trial was measured)
     import apinc.polyphase as polyphase
 
     reduced, tails, diams, companions, expansions = [], [], [], [], []
@@ -483,7 +488,7 @@ def test_criterion_5_input_reduces_once(monkeypatch):
     assert companions == []
     assert 0 < len(tails) == len(set(tails))
     assert cert.num_parts == 18733
-    assert len(diams) == 19940
+    assert len(diams) == 999
     # a top-degree tail is keyed by the block's step: no block is expanded
     # (9983 were), only the source, for its leading coefficient
     assert expansions == [(1, 1, 20000)]
@@ -796,6 +801,80 @@ class TestBoundedDiameter:
         # the integer limit decides as the Fraction bound did
         w = ref_diam_num(_values(num, 0, 1, length, den), den)
         assert _within(num, den, length, theta) == (w * theta.denominator <= theta.numerator * den)
+
+
+# ---------------------------------------------------------------------
+# Two-point parts: read in place, as the kernel measures them
+
+
+def captured_channel(phi, P, eps):
+    """The (diam, pair) functions `partition_polyphase(phi, P, eps)`
+    hands to `refine`, and the strides of the pairs it read."""
+    import apinc.polyphase as polyphase
+
+    seen, strides, refine = {}, set(), polyphase.refine
+
+    def spy_refine(P, root, diam, pair, limit, reduce):
+        seen["diam"], seen["pair"] = diam, pair
+
+        def spy_pair(Q):
+            strides.add(Q[1] // P.step)
+            return pair(Q)
+
+        return refine(P, root, diam, spy_pair, limit, reduce)
+
+    with mock.patch.object(polyphase, "refine", spy_refine):
+        partition_polyphase(phi, P, eps)
+    return seen["diam"], seen["pair"], strides
+
+
+def assert_pairs_read_the_kernel(pair, phi, P, eps, strides):
+    """Every pair of P at each stride reads as `_diam_num` measures it,
+    which for two points is the exact diameter."""
+    eps_f, den = lift(eps), phi.den
+    limit = eps_f.numerator * den // eps_f.denominator
+    res = phi.residues(P)
+    for s in strides:
+        for i in range(P.len - s):
+            two = [res[i], res[i + s]]
+            got = pair((P.base + i * P.step, s * P.step, 2))
+            assert got == _diam_num(two, den, limit) == ref_diam_num(two, den)
+
+
+class TestPairReading:
+    # eps 0.05 takes the kernel's one pass (4 * limit <= den), eps 0.4
+    # its sorted antipode sweep
+    @pytest.mark.parametrize("eps", [0.05, 0.4])
+    @pytest.mark.parametrize("P", [Progression(1, 1, 2000), Progression(600, -3, 200)], ids=["up", "down"])
+    def test_pair_is_the_kernel_diameter(self, eps, P):
+        phi = PolyPhase.binomial([0, math.sqrt(2), math.sqrt(3)])
+        _, pair, strides = captured_channel(phi, P, eps)
+        eps_f = lift(eps)
+        assert (4 * (eps_f.numerator * phi.den // eps_f.denominator) <= phi.den) == (eps == 0.05)
+        assert strides
+        assert_pairs_read_the_kernel(pair, phi, P, eps, strides | set(range(1, 8)))
+
+    @given(
+        coeffs=st.lists(rationals, min_size=3, max_size=4),
+        base=st.integers(-500, 500),
+        step=st.sampled_from([1, 2, 7, -1, -3]),
+        length=st.integers(2, 60),
+        eps=st.sampled_from([0.05, Fraction(1, 4), 0.26, 0.4, 0.5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pair_on_any_quadratic_or_cubic(self, coeffs, base, step, length, eps):
+        phi = PolyPhase.binomial(coeffs)
+        assume(phi.degree >= 2)
+        P = Progression(base, step, length)
+        _, pair, strides = captured_channel(phi, P, eps)
+        assert_pairs_read_the_kernel(pair, phi, P, eps, strides | set(range(1, min(length, 8))))
+
+    def test_linear_phase_reads_pairs_from_its_tables(self):
+        # degree <= 1: a pair costs a table read already, so one function serves both
+        diam, pair, _ = captured_channel(
+            PolyPhase.binomial([0, math.sqrt(2)]), Progression(1, 1, 500), 0.05
+        )
+        assert pair is diam
 
 
 def test_criterion_5_build_sorts_nothing(monkeypatch):

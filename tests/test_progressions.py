@@ -219,7 +219,7 @@ class TestSkeleton:
         gc.collect()
         gc.disable()
         try:
-            parts, _, _ = refine(Progression(0, 1, 64), 0, lambda Q: Q[2], 3, halve)
+            parts, _, _ = refine(Progression(0, 1, 64), 0, lambda Q: Q[2], lambda Q: Q[2], 3, halve)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -236,35 +236,41 @@ class TestSkeleton:
             child = state - 1 or None
             return [((base, step, h), child), ((base + h * step, step, n - h), child)]
 
-        measured = []
+        measured, paired = [], []
 
         def diam(Q):  # the largest element stands in for the diameter
             measured.append(Q)
             base, step, n = Q
             return base + (n - 1) * step
 
+        def pair(Q):
+            paired.append(Q)
+            return Q[0] + Q[1]
+
         P = Progression(0, 1, 8)
         # depth 0: nothing to reduce, and P is kept whole, measured once
         # for its witness
-        assert refine(P, None, diam, 5, halve) == ([(0, 1, 8)], [7], 0)
-        assert calls == [] and measured == [(0, 1, 8)]
+        assert refine(P, None, diam, pair, 5, halve) == ([(0, 1, 8)], [7], 0)
+        assert calls == paired == [] and measured == [(0, 1, 8)]
         # a point is kept with witness 0 and never measured
         measured.clear()
-        assert refine(Progression(3, 1, 1), 2, diam, 5, halve) == ([(3, 1, 1)], [0], 0)
-        assert calls == measured == []
+        assert refine(Progression(3, 1, 1), 2, diam, pair, 5, halve) == ([(3, 1, 1)], [0], 0)
+        assert calls == measured == paired == []
         # depth 2: [0..3] fits early, [4..7] is halved, and its halves
         # [4, 5] and [6, 7] are kept with nothing left to reduce, [6, 7]
         # over the limit; the merge then joins [0..3] and [4, 5]
-        parts, witnesses, depth = refine(P, 2, diam, 5, halve)
+        parts, witnesses, depth = refine(P, 2, diam, pair, 5, halve)
         assert parts == [(0, 1, 6), (6, 1, 2)]
         assert witnesses == [5, 7]
         assert depth == 2
         # parts that fit, or whose state is None, are never reduced
         assert calls == [((0, 1, 8), 2), ((4, 1, 4), 1)]
-        # the merge measures [0..5] and refuses [0..7] unmeasured: the
-        # visit already measured that union, P, over the limit
-        visited = [(0, 1, 8), (0, 1, 4), (4, 1, 4), (4, 1, 2), (6, 1, 2)]
+        # the halves [4, 5] and [6, 7] are pairs, read by `pair`; the merge
+        # reads the junction [3, 4], measures [0..5], and refuses [0..7]
+        # unmeasured: the visit already measured that union, P, over the limit
+        visited = [(0, 1, 8), (0, 1, 4), (4, 1, 4)]
         assert measured == visited + [(0, 1, 6)]
+        assert paired == [(4, 1, 2), (6, 1, 2), (3, 1, 2)]
 
     @pytest.mark.parametrize("step", [3, -3])
     def test_refine_splits_a_failing_pair_without_reduce(self, step):
@@ -282,12 +288,12 @@ class TestSkeleton:
         points = [(x, step, 1) for x in (10, 10 + step)]
         # a live pair over the limit becomes its two points at level 1
         pair = Progression(10, step, 2)
-        assert refine(pair, "live", diam, 0, halve) == (sorted(points), [0, 0], 1)
+        assert refine(pair, "live", diam, diam, 0, halve) == (sorted(points), [0, 0], 1)
         assert calls == []
         # the halves of a failing 4-point part split the same way; only
         # the 4-point part is reduced, and the depth still counts level 2
         P = Progression(10, step, 4)
-        parts, witnesses, depth = refine(P, "live", diam, 0, halve)
+        parts, witnesses, depth = refine(P, "live", diam, diam, 0, halve)
         assert parts == [(x, step, 1) for x in sorted(P.elements())]
         assert witnesses == [0] * 4
         assert (calls, depth) == ([(10, step, 4)], 2)
@@ -301,25 +307,18 @@ class TestSkeleton:
     )
     @settings(max_examples=300, deadline=None)
     def test_refine_measures_each_part_once(self, base, step, length, levels, limit):
-        def span(Q):  # a diameter: it only grows with the part
-            vals = [(7 * x * x + x) % 23 for x in elements(Q)]
-            return max(vals) - min(vals)
-
         log, children = [], []
 
         def diam(Q):
             log.append(Q)
             return span(Q)
 
+        def pair(Q):
+            log.append(("pair", Q))
+            return span(Q)
+
         def reduce(state, Q):
-            # halves, or the two residue classes mod 2, which change the step
-            child = state - 1 or None
-            base, s, n = Q
-            if state % 2 and n > 2:
-                out = [(R, child) for R in subdivide(Q, 2, n)]
-            else:
-                h = n // 2
-                out = [((base, s, h), child), ((base + h * s, s, n - h), child)]
+            out = halves_or_classes(state, Q)
             children.extend(R for R, _ in out)
             return out
 
@@ -331,20 +330,105 @@ class TestSkeleton:
 
         P = Progression(base, step, length)
         with mock.patch.object(progressions, "merge_parts", marked):
-            parts, witnesses, _ = refine(P, levels or None, diam, limit, reduce)
+            parts, witnesses, _ = refine(P, levels or None, diam, pair, limit, reduce)
         i, j = log.index("merge"), log.index("merged")
         visits, trials, after = log[:i], log[i + 1 : j], log[j + 1 :]
-        # each multi-point part a visit reaches is measured once, every
-        # later call is a merge trial from a kept part's base, and nothing
-        # is measured after the merge
-        assert Counter(visits) == Counter(Q for Q in [(base, step, length), *children] if Q[2] > 1)
-        assert all(T[2] > 1 and T[0] in {Q[0] for Q in parts} for T in trials)
+        # each multi-point part a visit reaches is measured once, a pair
+        # by `pair` and a longer part by `diam`; every later `diam` call
+        # is a merge trial of three or more points from a kept part's
+        # base, and nothing is measured after the merge
+        reached = [Q for Q in [(base, step, length), *children] if Q[2] > 1]
+        assert Counter(visits) == Counter(("pair", Q) if Q[2] == 2 else Q for Q in reached)
+        measured = [T for T in trials if T[0] != "pair"]
+        assert all(T[2] > 2 and T[0] in {Q[0] for Q in parts} for T in measured)
         # one record of measured parts: no part reaches `diam` twice
-        keys = visits + trials
+        keys = visits + measured
         assert len(keys) == len(set(keys))
         assert after == []
         assert witnesses == [span(Q) if Q[2] > 1 else 0 for Q in parts]
         assert sorted(x for Q in parts for x in elements(Q)) == sorted(P.elements())
+
+    @given(
+        base=st.integers(-50, 50),
+        step=st.sampled_from([1, 2, 5, -1, -3, -4]),
+        length=st.integers(1, 80),
+        levels=st.integers(0, 4),
+        limit=st.integers(0, 22),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_refine_matches_the_merge_that_measures_every_trial(self, base, step, length, levels, limit):
+        P, root = Progression(base, step, length), levels or None
+        every_trial = lambda parts, measured, diam, pair, limit: reference_merge_parts(  # noqa: E731
+            parts, measured, diam, limit
+        )
+        with mock.patch.object(progressions, "merge_parts", every_trial):
+            expected = refine(P, root, span, span, limit, halves_or_classes)
+
+        log, kept = [], []
+
+        def diam(Q):
+            log.append(Q)
+            return span(Q)
+
+        def spied(parts, *args):
+            kept.extend(parts)
+            log.append("merge")
+            return merge_parts(parts, *args)
+
+        with mock.patch.object(progressions, "merge_parts", spied):
+            got = refine(P, root, diam, span, limit, halves_or_classes)
+        assert got == expected
+        # no two-point part reaches `diam`
+        assert all(Q[2] > 2 for Q in log if Q != "merge")
+        # a measured trial ends where a kept part ends; its junction, the
+        # pair before that part's first point, is within the limit
+        ends = {b + (n - 1) * s: (b, s, n) for b, s, n in kept}
+        for b, s, n in log[log.index("merge") + 1 :]:
+            nxt = ends[b + (n - 1) * s]
+            assert span((nxt[0] - s, s, 2)) <= limit
+
+
+def span(Q):
+    """A diameter of the part Q: it only grows with the part."""
+    vals = [(7 * x * x + x) % 23 for x in elements(Q)]
+    return max(vals) - min(vals)
+
+
+def halves_or_classes(state, Q):
+    """A reduction: Q's halves, or its two residue classes mod 2, which
+    change the step; state counts the levels left, None once none are."""
+    child = state - 1 or None
+    base, s, n = Q
+    if state % 2 and n > 2:
+        return [(R, child) for R in subdivide(Q, 2, n)]
+    h = n // 2
+    return [((base, s, h), child), ((base + h * s, s, n - h), child)]
+
+
+def reference_merge_parts(parts, measured, diam, limit):
+    """The merge before pair readings and junction refusals: every trial
+    not already in `measured` is measured with `diam`."""
+    descending = parts[0][1] < 0
+    by_base = {p[0]: p for p in parts}
+    merged, used = [], set()
+    for b in sorted(by_base, reverse=descending):
+        if b in used:
+            continue
+        _, step, n = by_base[b]
+        used.add(b)
+        while True:
+            nxt = by_base.get(b + n * step)
+            if nxt is None or nxt[0] in used or not (nxt[1] == step or nxt[2] == 1):
+                break
+            trial = (b, step, n + nxt[2])
+            w = measured[trial] if trial in measured else diam(trial)
+            if w > limit:
+                break
+            used.add(nxt[0])
+            measured[trial] = w
+            n += nxt[2]
+        merged.append((b, step, n))
+    return merged[::-1] if descending else merged
 
 
 class TestCertificateType:
