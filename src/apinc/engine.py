@@ -274,7 +274,7 @@ def szemeredi_search(A, k, floor_n0=2, oracle=None):
             outcome="incremented",
             delta=out.witness.correlation,
             delta_eff=out.delta_eff,
-            part={"base": part.base, "step": part.step, "len": part.len},
+            part=part.to_json(),
             new_density=out.new_density,
         )
         orig_base = orig_base + (part.base - 1) * orig_step

@@ -65,10 +65,6 @@ class DenseSet:
     def __len__(self):
         return len(self.members)
 
-    def mask(self):
-        """Python int with bit n set iff n is a member."""
-        return int.from_bytes(_packed(self.members, self.N + 1).tobytes(), "little")
-
     def to_json(self):
         return {"N": self.N, "members": list(self.members)}
 
@@ -419,7 +415,7 @@ def inverse_u2(f, delta):
     return InverseWitness(PolyPhase.binomial([0, Fraction(r, f.M)]), f.M, float(abs(fh[r])))
 
 
-def catalog_inverse(f, k, grid=64, threshold=0.1):
+def catalog_inverse(f, k, grid, threshold):
     """Best correlating grid quadratic phase e(theta C(n,2) + c n), the
     constructive stand-in for the degree-(k-2) inverse oracle at k = 4.
 

@@ -27,10 +27,10 @@ The dimension-reduction step exploits exactly this product structure:
 partition P so the pivot coordinate's phase is nearly constant, freeze
 the pivot factors at their value on each part, and recurse on the
 remaining factors — a function of strictly fewer coordinates, read at
-the same points of the same manifold.  `reduce_dimension` is one such
-level, and it keeps the phase channel's contract
-(`polyphase.reduce_degree_partition`): it returns the (part, next
-state) pairs that `progressions.refine` consumes.  Every claimed
+the same points, which are walked once over the whole source.
+`reduce_dimension` is one such level, and it keeps the phase channel's
+contract (`polyphase.reduce_degree_partition`): it returns the (part,
+next state) pairs that `progressions.refine` consumes.  Every claimed
 deviation and every certificate diameter is re-checked exhaustively.
 """
 
@@ -261,9 +261,9 @@ def _phase_points(phases, P):
     return list(zip(*([r / c.den for r in c.residues(P)] for c in phases)))
 
 
-def nil_values(Mf, g, F, P):
-    _check_compat(Mf, g, F)
-    return np.array([F.value(u) for u in g.float_points(Mf, P)])
+def nil_values(F, points):
+    """F's values at a list of fundamental-domain points."""
+    return np.array([F.value(u) for u in points])
 
 
 def convex_hull(vals):
@@ -320,16 +320,17 @@ def _pair_distances(vals, s):
 # Dimension reduction and the nilsequence partition
 
 
-def reduce_dimension(Mf, g, F, P, eps):
+def reduce_dimension(g, points, F, P, eps):
     """One dimension level of the nilsequence partition: [(R, state)] in
     base order, the parts R of P each paired with a zero-argument builder
     of F_R, a function of one coordinate fewer whose nilsequence
     F_R(g(n)Gamma) agrees with F(g(n)Gamma) on R to within eps; state is
     None when F_R has no factor left to freeze.  A function with no
-    factors has nothing to reduce: [(P, None)].  Every level reads the
-    same manifold and sequence and checks nothing: the caller checked
-    (Mf, g, F) and eps at the root and passes eps / dim, at most 1/2, and
-    a frozen function uses a subset of F's coordinates.
+    factors has nothing to reduce: [(P, None)].  `points(R)` is R's
+    points, a slice of the root's one walk.  Every level reads the same
+    sequence and checks nothing: the caller checked (Mf, g, F) and eps
+    at the root and passes eps / dim, at most 1/2, and a frozen function
+    uses a subset of F's coordinates.
 
     Pivot on the first coordinate F uses; partition P so the pivot
     coordinate phase moves by at most eps / L_pivot, then freeze the
@@ -359,8 +360,7 @@ def reduce_dimension(Mf, g, F, P, eps):
 
     def fits(R):
         F2 = frozen(R)
-        points = g.float_points(Mf, Progression(*R))
-        dev = max(abs(F.value(u) - F2.value(u)) for u in points)
+        dev = max(abs(F.value(u) - F2.value(u)) for u in points(R))
         return dev <= float(eps_f) + 2**-30
 
     live = any(f.coord != pivot for f in F.factors)
@@ -376,19 +376,22 @@ def partition_nilsequence(Mf, g, F, P, eps):
     the per-part value diameter — a sum of per-coordinate oscillations
     — telescopes below eps.  Parts whose true values already fit are
     emitted early, and adjacent parts are re-merged under the
-    exhaustive check.  The values over P are computed once; every
-    part's check and each merge trial reads its slice, a two-point part
-    reads its distance from a table of one stride's pair distances, and
-    the check that keeps a part measures its witness.
+    exhaustive check.  P's points are walked once and its values
+    computed once from them: every level's deviation check reads its
+    part's slice of the points, and every diameter check and merge trial
+    its slice of the values.  A two-point part reads its distance from a
+    table of one stride's pair distances, and the check that keeps a
+    part measures its witness.
 
     Cost model, checked against the work budget before anything is
     built: one point costs c = 1 + sum_j (d_j + 1), the difference
     levels of every coordinate phase plus F, and the recursion evaluates
     it at most once per coordinate and once more for the checks and
     merge trials, so P costs len(P) * c^2.  That also covers the phase
-    partition each level runs on its pivot coordinate.  The pair tables
-    keep one float per source point per distinct stride of a two-point
-    part, and are built only for the strides read.
+    partition each level runs on its pivot coordinate.  The root's
+    points are held until the partition returns.  The pair tables keep
+    one float per source point per distinct stride of a two-point part,
+    and are built only for the strides read.
     """
     _check_compat(Mf, g, F)
     eps_f = lift(eps)
@@ -398,7 +401,8 @@ def partition_nilsequence(Mf, g, F, P, eps):
     d0 = max(Mf.dim, 1)
     level_eps = eps_f / d0
     eps_val = float(eps_f)
-    vals = nil_values(Mf, g, F, P)
+    points = g.float_points(Mf, P)
+    vals = nil_values(F, points)
 
     def diam(Q):
         # exact up to the slack the witness check allows, so a None-state
@@ -413,9 +417,12 @@ def partition_nilsequence(Mf, g, F, P, eps):
             strides[s] = _pair_distances(vals, s)
         return strides[s][(Q[0] - P.base) // P.step]
 
+    def part_points(R):
+        return points[index_slice(P, R)]
+
     def reduce(build, Q):  # a state builds its function, only for a part reduced
         # the module global, read at call time: a tracer's wrapper sees the call
-        return reduce_dimension(Mf, g, build(), Q, level_eps)
+        return reduce_dimension(g, part_points, build(), Q, level_eps)
 
     # a function with no factors is constant: refine keeps P at diameter 0
     parts, witnesses, max_depth = refine(P, lambda: F, diam, pair, eps_val, reduce)

@@ -300,16 +300,6 @@ class PolyPhase:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __sub__(self, other):
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, -(den // other.den)
-        a, b = self.num, other.num
-        n = max(len(a), len(b))
-        a += (0,) * (n - len(a))
-        b += (0,) * (n - len(b))
-        out = [x * fa + y * fb for x, y in zip(a, b)]
-        return PolyPhase._from_kernel(den, out, self.basis, self.exact and other.exact)
-
     def compose_affine_frac(self, a, b):
         """Phase m -> self(a*m + b) for rational a, b (exact)."""
         a, b = lift(a), lift(b)

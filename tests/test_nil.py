@@ -28,7 +28,7 @@ from apinc.nil import (
 from apinc import nil
 from apinc.oracle import _nil_value_fn, verify_certificate
 from apinc.polyphase import PolyPhase, companion, reduce_degree_partition
-from apinc.progressions import Progression
+from apinc.progressions import Progression, index_slice
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
@@ -97,6 +97,20 @@ def elements(Q):
     return [base + i * step for i in range(n)]
 
 
+def values(Mf, g, F, P):
+    """F's values at the points of g over P, as partition_nilsequence
+    computes its root's values."""
+    return nil_values(F, g.float_points(Mf, P))
+
+
+def part_points(Mf, g, P):
+    """R -> the points of a part R of P, sliced from one walk of P: what
+    partition_nilsequence hands reduce_dimension."""
+    P = Progression(*P)
+    points = g.float_points(Mf, P)
+    return lambda R: points[index_slice(P, R)]
+
+
 def read_back(Mf, g, F, P):
     """Values at P's elements of the serialized (Mf, g, F), as the
     verifier, their one reader, evaluates them."""
@@ -111,7 +125,7 @@ class TestManifold:
                           PolyPhase.monomial([Fraction(1, 5), Fraction(1, 3), Fraction(1, 7)])])
         F = lipschitz_catalog("e(x)*cutoff")
         for Mf in (Nilmanifold.torus(3), Nilmanifold.heisenberg()):
-            assert np.array_equal(read_back(Mf, g, F, P), nil_values(Mf, g, F, P))
+            assert np.array_equal(read_back(Mf, g, F, P), values(Mf, g, F, P))
 
 
 class TestSequencesAndEval:
@@ -119,7 +133,7 @@ class TestSequencesAndEval:
         Mf = Nilmanifold.torus(1)
         g = PolySequence.torus_linear([Fraction(1, 4)])
         F = lipschitz_catalog("e(x)")
-        vals = nil_values(Mf, g, F, Progression(0, 1, 4))
+        vals = values(Mf, g, F, Progression(0, 1, 4))
         expect = [1, 1j, -1, -1j]
         assert all(abs(v - e) < 1e-12 for v, e in zip(vals, expect))
 
@@ -175,9 +189,9 @@ class TestSequencesAndEval:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            nil_values(
+            partition_nilsequence(
                 Nilmanifold.torus(2), PolySequence([PolyPhase.zero()]), lipschitz_catalog("const"),
-                Progression(1, 1, 1),
+                Progression(1, 1, 1), 0.1,
             )
 
 
@@ -238,7 +252,7 @@ class TestLipschitzFunctions:
         F = lipschitz_catalog("e(x)*cutoff").freeze(0, 0.3)
         Mf, g = Nilmanifold.torus(2), PolySequence.torus_linear([SQRT2, SQRT3])
         P = Progression(1, 1, 30)
-        assert np.array_equal(read_back(Mf, g, F, P), nil_values(Mf, g, F, P))
+        assert np.array_equal(read_back(Mf, g, F, P), values(Mf, g, F, P))
 
 
 def pairwise_diam(vals):
@@ -385,7 +399,7 @@ class TestPairDistances:
         monkeypatch.setattr(nil, "refine", spy_refine)
         partition_nilsequence(Mf, g, F, P, eps)
         assert strides == {stride}
-        vals = nil_values(Mf, g, F, P)
+        vals = values(Mf, g, F, P)
         for i in range(N - stride):
             Q = (P.base + i * P.step, stride * P.step, 2)
             assert seen["pair"](Q) == complex_diam(vals[[i, i + stride]], math.inf)
@@ -413,7 +427,7 @@ class TestReduceDimension:
         # a factor off the pivot leaves the next level something to freeze
         F = LipschitzFunction("e(x)e(y)", (Factor(0, "exp"), Factor(1, "exp")))
         P = (1, 1, 200)
-        out = reduce_dimension(Mf, g, F, P, Fraction(1, 4))
+        out = reduce_dimension(g, part_points(Mf, g, P), F, P, Fraction(1, 4))
         covered = []
         for R, state in out:
             F2 = state()
@@ -430,7 +444,7 @@ class TestReduceDimension:
         g = PolySequence.torus_linear([SQRT2, SQRT3])
         P = (1, 1, 500)
         # nothing is left to reduce: the part is kept whole, with no state
-        assert reduce_dimension(Mf, g, lipschitz_catalog("const"), P, 0.1) == [(P, None)]
+        assert reduce_dimension(g, part_points(Mf, g, P), lipschitz_catalog("const"), P, 0.1) == [(P, None)]
 
     def test_point_parts_never_frozen(self, monkeypatch):
         # refine reads no point's state: on Heisenberg 1..5000 every pivot
@@ -461,9 +475,9 @@ class TestReduceDimension:
         partition_nilsequence(Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), P, 0.1)
         assert calls == [(1, 1, 500)]
 
-    # every level reads the root's manifold and sequence: none is built
-    # below the root, and a level's function keeps the root's factors off
-    # the pivots, coordinate numbers included
+    # every level reads the root's sequence and no manifold: none is
+    # built below the root, and a level's function keeps the root's
+    # factors off the pivots, coordinate numbers included
     @pytest.mark.parametrize(
         "Mf, coords, N, eps",
         [
@@ -483,12 +497,12 @@ class TestReduceDimension:
         torus, init, real = Nilmanifold.torus.__func__, PolySequence.__init__, nil.reduce_dimension
         monkeypatch.setattr(Nilmanifold, "torus", classmethod(lambda cls, d: built.append(d) or torus(cls, d)))
         monkeypatch.setattr(PolySequence, "__init__", lambda h, c: built.append(c) or init(h, c))
-        monkeypatch.setattr(nil, "reduce_dimension", lambda *a: levels.append(a[:3]) or real(*a))
+        monkeypatch.setattr(nil, "reduce_dimension", lambda *a: levels.append(a) or real(*a))
         cert = partition_nilsequence(Mf, g, F, Progression(1, 1, N), eps)
         assert cert.payload["depth"] == 2
         assert len(built) == 0
-        assert all(M is Mf and h is g for M, h, _ in levels)
-        below = [F2 for _, _, F2 in levels if F2 is not F]
+        assert all(a[0] is g and not any(isinstance(x, Nilmanifold) for x in a) for a in levels)
+        below = [a[2] for a in levels if a[2] is not F]
         assert below and all(F2.factors == F.factors[1:] for F2 in below)
 
 
@@ -555,7 +569,7 @@ class TestReductionContract:
     @settings(max_examples=150, deadline=None)
     def test_dimension_step(self, nilsequence, Q, eps):
         Mf, g, F = nilsequence
-        pairs = reduce_dimension(Mf, g, F, Q, eps)
+        pairs = reduce_dimension(g, part_points(Mf, g, Q), F, Q, eps)
         assert_pairs_cover(Q, pairs)
         if not F.factors:
             assert pairs == [(Q, None)]
@@ -577,7 +591,7 @@ class TestPartitionNilsequence:
         cert = partition_nilsequence(Mf, g, F, Progression(1, 1, 144), 0.2)
         assert verify_certificate(cert)["ok"]
         assert cert.channel == "nilsequence"
-        vals = nil_values(Mf, g, F, Progression(1, 1, 144))
+        vals = values(Mf, g, F, Progression(1, 1, 144))
         for p, w in zip(cert.parts, cert.diam_witness):
             pv = [vals[n - 1] for n in elements(p)]
             assert complex_diam(pv, math.inf) <= 0.2 + 1e-9
@@ -615,22 +629,23 @@ class TestPartitionNilsequence:
         assert coarse <= fine
 
     def test_singletons_skip_the_witness_scan(self, monkeypatch):
-        # values (nil_values) and the points of the deviation check
-        # (float_points) are computed only on parts of two or more points;
-        # a single point's witness is 0.0
+        # values (nil_values), points (float_points) and every slice of
+        # them a check reads (index_slice) cover two or more points; a
+        # single point's witness is 0.0
         lengths = []
 
-        def spy(owner, name):
+        def spy(owner, name, size):
             real = getattr(owner, name)
 
             def wrapper(*args):
-                lengths.append(args[-1].len)
+                lengths.append(size(args[-1]))
                 return real(*args)
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        spy(nil, "nil_values")
-        spy(PolySequence, "float_points")
+        spy(nil, "nil_values", len)
+        spy(PolySequence, "float_points", lambda P: P.len)
+        spy(nil, "index_slice", lambda Q: Q[2])
         g = PolySequence(
             [PolyPhase.monomial([0, SQRT2]), PolyPhase.monomial([0, SQRT3]), PolyPhase.zero()]
         )
@@ -644,7 +659,7 @@ class TestPartitionNilsequence:
 
     def test_values_computed_once_on_the_root(self, monkeypatch):
         # every fit check, merge trial and witness reads a slice of the
-        # root's values: nil_values runs once, on P itself
+        # root's values: nil_values runs once, on P's points
         calls = []
         real = nil.nil_values
 
@@ -661,7 +676,29 @@ class TestPartitionNilsequence:
             Nilmanifold.heisenberg(), g, lipschitz_catalog("e(x)*cutoff"), P, 0.1
         )
         assert cert.num_parts > 1
-        assert calls == [P]
+        assert calls == [g.float_points(Nilmanifold.heisenberg(), P)]
+
+    # the points of P are walked once: every level's deviation check
+    # reads its part's slice of them, and a level builds no Progression
+    # but its pivot partition's source
+    @pytest.mark.parametrize(
+        "space, N, eps, sources",
+        [(HEISENBERG, 5000, 0.5, 841), (TORUS2, 3000, 0.2, 155)],
+        ids=["heisenberg-5000-eps05", "torus2-3000"],
+    )
+    def test_points_walked_once(self, monkeypatch, space, N, eps, sources):
+        (Mf, coords), F = space, lipschitz_catalog("e(x)*cutoff")
+        g, P = PolySequence(coords), Progression(1, 1, N)
+        walks, built, reduced = [], [], []
+        float_points, post_init, real = PolySequence.float_points, Progression.__post_init__, nil.reduce_dimension
+        monkeypatch.setattr(PolySequence, "float_points", lambda h, M, Q: walks.append(Q) or float_points(h, M, Q))
+        monkeypatch.setattr(Progression, "__post_init__", lambda Q: built.append(Q) or post_init(Q))
+        monkeypatch.setattr(nil, "reduce_dimension", lambda *a: reduced.append(a[3]) or real(*a))
+        partition_nilsequence(Mf, g, F, P, eps)
+        assert walks == [P]
+        # one Progression per reduction, its part as the pivot partition's source
+        assert len(built) == len(reduced) == sources
+        assert [(Q.base, Q.step, Q.len) for Q in built] == reduced
 
     @pytest.mark.parametrize("kind", ["heisenberg", "torus"])
     def test_negative_step_source(self, kind):
@@ -680,7 +717,7 @@ class TestPartitionNilsequence:
         assert verify_certificate(cert)["ok"]
         assert any(n > 1 and step < 0 for _, step, n in cert.parts)
         for p, w in zip(cert.parts, cert.diam_witness):
-            vals = nil_values(Mf, g, F, Progression(*p))
+            vals = values(Mf, g, F, Progression(*p))
             assert w == (complex_diam(vals, math.inf) if p[2] > 1 else 0.0)
 
     def test_negative_step_heisenberg_digest(self):

@@ -185,10 +185,15 @@ class TestIndexSlice:
         else:
             Mf, g = Nilmanifold.torus(2), PolySequence([PolyPhase.binomial(c) for c in coeffs[:2]])
         F = lipschitz_catalog("e(x)*cutoff")
-        vals = nil_values(Mf, g, F, P)
+        points = g.float_points(Mf, P)
+        vals = nil_values(F, points)
         for Q in parts:
+            # the deviation check's points: a slice of the root's walk is
+            # the walk of the part, float for float
+            assert points[index_slice(P, Q)] == g.float_points(Mf, Progression(*Q))
             got = np.ascontiguousarray(vals[index_slice(P, Q)]).view(np.uint64)
-            assert np.array_equal(got, nil_values(Mf, g, F, Progression(*Q)).view(np.uint64))
+            want = nil_values(F, g.float_points(Mf, Progression(*Q)))
+            assert np.array_equal(got, want.view(np.uint64))
 
 
 class TestSkeleton:
